@@ -35,10 +35,10 @@ from ordersplit.ntcore import (
     eta,
     integer_nth_root,
     is_probable_prime,
-    mod_pow,
     multiplicative_order,
     perfect_power_reduce,
     primes_up_to,
+    small_prime_divisors,
 )
 from ordersplit.oracle import (
     InfeasibleParametersError,
@@ -73,7 +73,6 @@ __all__ = [
     "guess_multiple",
     "integer_nth_root",
     "is_probable_prime",
-    "mod_pow",
     "multiplicative_order",
     "perfect_power_reduce",
     "primes_up_to",
@@ -84,6 +83,7 @@ __all__ = [
     "sample_unit",
     "shor_split",
     "simulate_order",
+    "small_prime_divisors",
     "split_two_adic",
     "theoretical_failure_bound",
     "write_csv",

@@ -145,6 +145,7 @@ def build_parser() -> _Parser:
 def cmd_factor(args) -> int:
     try:
         n = _parse_integer(args.N)
+        n_text = str(n)  # a hex N past the int/str digit limit fails here
         r = _parse_integer(args.r)
         if n < 3:
             raise ValueError("N must be >= 3")
@@ -163,7 +164,7 @@ def cmd_factor(args) -> int:
         n, r, c=args.c, k=args.k, tau=args.tau, rng=rng,
         use_reduced_modulus=not args.no_nprime_opt)
     print(json.dumps({
-        "N": str(n),
+        "N": n_text,
         "factors": [{"p": str(p), "e": e} for p, e in outcome.factors],
         "complete": outcome.complete,
         "iterations": outcome.iterations,
@@ -268,3 +269,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -26,6 +26,7 @@ from ordersplit.ntcore import (
     is_probable_prime,
     perfect_power_reduce,
     primes_up_to,
+    small_prime_divisors,
 )
 from ordersplit.oracle import sample_unit
 
@@ -391,16 +392,13 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
         raise ValueError("r must be >= 1")
     if rng is None:
         rng = random.Random()
-    found: set[int] = set()
+    found = set(small_prime_divisors(N, trial_division_bound))
     core = N
-    for p in primes_up_to(trial_division_bound):
-        if p * p > core:
-            break
+    for p in found:
         while core % p == 0:
-            found.add(p)
             core //= p
+    iterations = 0
     if core > 1:
-        iterations = 0
         if is_probable_prime(core, rng=rng):
             found.add(core)
         else:
@@ -420,8 +418,6 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
                                          iteration_cap=cap)
                 iterations = result.iterations
                 found.update(result.factor_set.prime_factors())
-    else:
-        iterations = 0
     pairs = tuple(sorted((p, _multiplicity(N, p)) for p in found))
     complete = math.prod(p**e for p, e in pairs) == N
     return FactorOutcome(N, pairs, complete, iterations)

@@ -57,7 +57,7 @@ EXACT_ORDER_BIT_LIMIT = 64  # factoring p-1 beyond this is not desk-scale
 CSV_COLUMNS = [
     "l", "n", "e_max", "c", "k_policy", "B_s", "trials", "successes",
     "failure_rate", "theoretical_bound", "mean_iterations",
-    "mean_gcd_calls", "wall_time_s",
+    "mean_gcd_calls", "unlucky_events_observed", "wall_time_s",
 ]
 
 
@@ -141,6 +141,7 @@ class CellReport:
             "theoretical_bound": self.theoretical_bound,
             "mean_iterations": self.mean_iterations,
             "mean_gcd_calls": self.mean_gcd_calls,
+            "unlucky_events_observed": self.unlucky_events_observed,
             "wall_time_s": self.wall_time_seconds,
         }
 

@@ -1,6 +1,6 @@
 """Arbitrary-precision number-theory primitives.
 
-Modular exponentiation, prime sieving, probabilistic primality testing,
+Prime sieving, small-prime divisors, probabilistic primality testing,
 perfect-power reduction and exact multiplicative orders. Everything here is
 a pure function; randomized routines take an explicit ``random.Random``
 stream so callers control reproducibility.
@@ -8,13 +8,14 @@ stream so callers control reproducibility.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import lru_cache
 
 __all__ = [
-    "mod_pow",
     "primes_up_to",
+    "small_prime_divisors",
     "eta",
     "is_probable_prime",
     "integer_nth_root",
@@ -26,14 +27,9 @@ __all__ = [
 # the callers work with.
 DEFAULT_MR_ROUNDS = 64
 
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by square-and-multiply (built-in pow)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exponent, modulus)
+# Primes per gcd in small_prime_divisors. Larger chunks save little per
+# sweep and cost more to build: 256 primes near 10^6 make ~5,000 bits.
+_CHUNK = 256
 
 
 @lru_cache(maxsize=128)
@@ -43,7 +39,15 @@ def _sieve(bound: int) -> tuple[int, ...]:
     for i in range(2, math.isqrt(bound) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(i for i in range(2, bound + 1) if flags[i])
+    return tuple(itertools.compress(range(bound + 1), flags))
+
+
+@lru_cache(maxsize=128)
+def _prime_chunks(bound: int) -> tuple[tuple[int, int], ...]:
+    """(offset into _sieve(bound), product of the _CHUNK primes from there)."""
+    primes = _sieve(bound)
+    return tuple((i, math.prod(primes[i:i + _CHUNK]))
+                 for i in range(0, len(primes), _CHUNK))
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -53,6 +57,35 @@ def primes_up_to(bound: int) -> list[int]:
     if bound < 2:
         return []
     return list(_sieve(bound))
+
+
+def small_prime_divisors(n: int, bound: int) -> list[int]:
+    """Distinct primes <= bound that divide n >= 1, ascending.
+
+    A gcd with the product of each chunk of primes picks the chunks to
+    trial-divide. The sweep stops once the next chunk's first prime squared
+    exceeds what is left of n, which is then 1 or a prime.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if bound < 2:
+        return []
+    primes = _sieve(bound)
+    found: list[int] = []
+    rem = n
+    for start, product in _prime_chunks(bound):
+        if primes[start] ** 2 > rem:
+            break
+        if math.gcd(rem, product) == 1:
+            continue
+        for p in primes[start:start + _CHUNK]:
+            if rem % p == 0:
+                found.append(p)
+                while rem % p == 0:
+                    rem //= p
+    if 1 < rem <= bound:
+        found.append(rem)  # the leftover prime lies within the bound
+    return found
 
 
 def eta(q: int, bound: int) -> int:

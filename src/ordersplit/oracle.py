@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from ordersplit.ntcore import is_probable_prime, multiplicative_order, primes_up_to
+from ordersplit.ntcore import (is_probable_prime, multiplicative_order,
+                               primes_up_to, small_prime_divisors)
 
 __all__ = [
     "InfeasibleParametersError",
@@ -211,11 +212,10 @@ def _factor_completely(n: int, trial_bound: int = 10**6) -> dict[int, int]:
     Deterministic: the rho stream is seeded from n itself.
     """
     factors: dict[int, int] = {}
-    for p in primes_up_to(min(trial_bound, math.isqrt(n) + 1)):
-        if p * p > n:
-            break
+    for p in small_prime_divisors(n, min(trial_bound, math.isqrt(n) + 1)):
+        factors[p] = 0
         while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
+            factors[p] += 1
             n //= p
     if n == 1:
         return factors
@@ -223,8 +223,6 @@ def _factor_completely(n: int, trial_bound: int = 10**6) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m, rng=rng):
             factors[m] = factors.get(m, 0) + 1
             continue
@@ -258,18 +256,8 @@ def _reduce_component_order(g: int, prime_power: int, phi: int,
                             smooth_bound: int) -> int:
     """Strip primes <= smooth_bound off phi while g stays congruent to 1."""
     order = phi
-    small: list[int] = []
-    rem = phi
-    for f in primes_up_to(smooth_bound):
-        if f * f > rem:
-            break
-        if rem % f == 0:
-            small.append(f)
-            while rem % f == 0:
-                rem //= f
-    if 1 < rem <= smooth_bound:
-        small.append(rem)  # leftover prime within the bound
-    for f in small:  # increasing order; the result is order-independent
+    # increasing order; the result is order-independent
+    for f in small_prime_divisors(phi, smooth_bound):
         while order % f == 0 and pow(g, order // f, prime_power) == 1:
             order //= f
     return order

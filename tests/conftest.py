@@ -7,15 +7,6 @@ implementations used to freeze or cross-check expected values.
 import math
 
 
-def naive_mod_pow(base, exponent, modulus):
-    """Left-to-right multiply loop; no squaring shortcuts."""
-    acc = 1
-    base %= modulus
-    for _ in range(exponent):
-        acc = acc * base % modulus
-    return acc
-
-
 def naive_sieve(bound):
     """Trial-division primality for everything up to bound."""
     out = []

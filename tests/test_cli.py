@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ordersplit
+from ordersplit import cli
 from ordersplit.cli import (
     EXIT_INCOMPLETE,
     EXIT_INFEASIBLE,
@@ -61,6 +67,25 @@ class TestFactorCommand:
         code, _, err = run_cli(capsys, "factor", "--N", "fifteen", "--r", "4")
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 4400, hex(10**4400)],
+                             ids=["decimal", "hex"])
+    def test_n_past_int_str_digit_limit(self, capsys, monkeypatch, text):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int/str digit limit")
+        calls = []
+        monkeypatch.setattr(cli, "factor_with_order",
+                            lambda *a, **kw: calls.append(a))
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # CPython's default
+        try:
+            code, out, err = run_cli(capsys, "factor", "--N", text,
+                                     "--r", "2")
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert code == EXIT_USAGE
+        assert out == "" and "error" in err
+        assert calls == []  # rejected before any factoring
 
     def test_n_too_small(self, capsys):
         code, _, _ = run_cli(capsys, "factor", "--N", "2", "--r", "1")
@@ -216,3 +241,17 @@ class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == EXIT_USAGE
+
+    def test_module_entry_point(self):
+        src = str(Path(ordersplit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        ok = subprocess.run(
+            [sys.executable, "-m", "ordersplit.cli", "factor", "--N", "15",
+             "--r", "4", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert ok.returncode == EXIT_OK
+        assert json.loads(ok.stdout)["N"] == "15"
+        bad = subprocess.run([sys.executable, "-m", "ordersplit.cli"],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert bad.returncode == EXIT_USAGE

@@ -175,6 +175,8 @@ class TestReportEmission:
         assert rows[0]["l"] == "10"
         assert rows[0]["k_policy"] == "auto"
         assert float(rows[0]["failure_rate"]) == 0.0
+        assert rows[0]["unlucky_events_observed"] == \
+            str(reports[0].unlucky_events_observed)
 
     def test_json_schema(self, tmp_path):
         reports, _ = run_grid(_config(trials_per_cell=5))

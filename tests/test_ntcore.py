@@ -3,48 +3,17 @@ import random
 
 import pytest
 
-from conftest import brute_force_order, naive_mod_pow, naive_sieve
+from conftest import brute_force_order, naive_sieve
 from ordersplit.ntcore import (
+    _CHUNK,
     eta,
     integer_nth_root,
     is_probable_prime,
-    mod_pow,
     multiplicative_order,
     perfect_power_reduce,
     primes_up_to,
+    small_prime_divisors,
 )
-
-
-class TestModPow:
-    def test_zero_exponent_is_one(self):
-        rng = random.Random(0)
-        for _ in range(20):
-            x = rng.randrange(0, 1 << 64)
-            n = rng.randrange(2, 1 << 32)
-            assert mod_pow(x, 0, n) == 1
-
-    def test_known_values(self):
-        assert mod_pow(2, 4, 15) == 1
-        assert mod_pow(7, 2, 15) == 4
-
-    def test_matches_naive_loop(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            base = rng.randrange(0, 10**6)
-            exp = rng.randrange(0, 500)
-            mod = rng.randrange(2, 10**6)
-            assert mod_pow(base, exp, mod) == naive_mod_pow(base, exp, mod)
-
-    def test_large_operands(self):
-        base = random.Random(2).getrandbits(8192)
-        mod = random.Random(3).getrandbits(8192) | (1 << 8191) | 1
-        assert mod_pow(base, 3, mod) == base * base * base % mod
-
-    def test_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
 
 
 class TestPrimesUpTo:
@@ -63,6 +32,68 @@ class TestPrimesUpTo:
     def test_negative_bound(self):
         with pytest.raises(ValueError):
             primes_up_to(-1)
+
+
+def _divisors_by_trial_division(n, bound):
+    return [p for p in primes_up_to(bound) if n % p == 0]
+
+
+class TestSmallPrimeDivisors:
+    def test_one_has_none(self):
+        for bound in (0, 1, 2, 10**4):
+            assert small_prime_divisors(1, bound) == []
+
+    def test_bound_below_two(self):
+        for bound in (0, 1):
+            assert small_prime_divisors(2 * 3 * 5, bound) == []
+
+    def test_prime_at_and_just_above_bound(self):
+        # 9973 is the largest prime below 10^4; past the first chunk it is
+        # only found as the leftover once the sweep stops
+        for n, p in ((7 * 2**5, 7), (2 * 9973, 9973), (3**4 * 9973, 9973)):
+            assert small_prime_divisors(n, p) == \
+                _divisors_by_trial_division(n, p)
+            assert p in small_prime_divisors(n, p)
+            assert p not in small_prime_divisors(n, p - 1)
+            assert small_prime_divisors(n, p - 1) == \
+                _divisors_by_trial_division(n, p - 1)
+
+    def test_square_of_a_chunks_first_prime(self):
+        # after the first chunk exactly q^2 is left, so the sweep must go on
+        q = primes_up_to(10**4)[_CHUNK]
+        assert small_prime_divisors(2 * q * q, 10**4) == [2, q]
+
+    def test_two_primes_between_1e3_and_1e6(self):
+        rng = random.Random(21)
+        primes = [p for p in primes_up_to(10**6) if p > 10**3]
+        for _ in range(6):  # each new bound sieves afresh
+            p, q = sorted(rng.sample(primes, 2))
+            n = p * q * rng.randrange(1, 10**3)
+            expected = _divisors_by_trial_division(n, 10**6)
+            for bound in (10**3, p - 1, p, q - 1, q, 10**6):
+                assert small_prime_divisors(n, bound) == \
+                    [f for f in expected if f <= bound]
+
+    def test_random_inputs_match_trial_division(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            n = rng.randrange(1, 10**9)
+            bound = rng.randrange(0, 5000)
+            assert small_prime_divisors(n, bound) == \
+                _divisors_by_trial_division(n, bound)
+
+    def test_1024_bit_inputs(self):
+        rng = random.Random(23)
+        small = primes_up_to(10**6)
+        for _ in range(4):
+            n = rng.getrandbits(1024) | (1 << 1023)
+            n *= math.prod(rng.sample(small, 5))
+            assert small_prime_divisors(n, 10**6) == \
+                _divisors_by_trial_division(n, 10**6)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            small_prime_divisors(0, 10)
 
 
 class TestEta:

@@ -189,7 +189,40 @@ class TestExactOrder:
             exact_order(inst, 5)
 
 
+def _reduce_by_per_prime_loop(g, prime_power, phi, smooth_bound):
+    """The per-prime trial-division loop _reduce_component_order replaced."""
+    order = phi
+    small = []
+    rem = phi
+    for f in primes_up_to(smooth_bound):
+        if f * f > rem:
+            break
+        if rem % f == 0:
+            small.append(f)
+            while rem % f == 0:
+                rem //= f
+    if 1 < rem <= smooth_bound:
+        small.append(rem)
+    for f in small:
+        while order % f == 0 and pow(g, order // f, prime_power) == 1:
+            order //= f
+    return order
+
+
 class TestReduceComponentOrder:
+    def test_matches_per_prime_loop_on_seeded_inputs(self):
+        rng = random.Random(13)
+        for l, n, e_max in ((12, 3, 2), (16, 2, 1), (32, 3, 2), (64, 3, 1)):
+            for _ in range(4):
+                inst = generate_instance(l, n, e_max, rng)
+                for p, e in zip(inst.primes, inst.exponents):
+                    pe = p**e
+                    g = sample_unit(pe, rng)
+                    phi = pe // p * (p - 1)
+                    for bound in (2, 10, 1000, 10**6):
+                        assert _reduce_component_order(g, pe, phi, bound) == \
+                            _reduce_by_per_prime_loop(g, pe, phi, bound)
+
     def test_component_examples_mod_7(self):
         assert _reduce_component_order(2, 7, 6, 10) == 3
         assert _reduce_component_order(3, 7, 6, 10) == 6
