@@ -66,14 +66,8 @@ while not factors.complete and iteration < 32:
         u = u * u % N
     print(f"  factor set now: {[v for v, _ in factors.entries]}")
 
-print(f"\ncomplete after {iteration} iteration(s):")
-for p, prime in factors.entries:
-    e = 0
-    m = N
-    while m % p == 0:
-        m //= p
-        e += 1
-    print(f"  {p}^{e} (prime: {prime})")
+print(f"\ncomplete after {iteration} iteration(s): "
+      f"{factors.factorization.pairs}")
 
 # The packaged routine does the same thing in one call.
 result = recover_factors(N, r, rng=random.Random(1))

@@ -7,7 +7,6 @@ harness (:mod:`ordersplit.harness`) and a CLI (:mod:`ordersplit.cli`).
 """
 
 from ordersplit.engine import (
-    FactorOutcome,
     Factorization,
     FactorSet,
     GuessedExponent,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellReport",
     "ExperimentConfig",
-    "FactorOutcome",
     "Factorization",
     "FactorSet",
     "GuessedExponent",

@@ -81,10 +81,6 @@ def _resolve_seed(flag_value):
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
-def _make_rng(seed) -> random.Random:
-    return random.Random(seed) if seed is not None else random.Random()
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ordersplit",
                      description="Factor integers completely from the "
@@ -104,13 +100,7 @@ def build_parser() -> _Parser:
     p_factor.add_argument("--k", type=_parse_k, default=None,
                           help="fixed iteration count, or 'auto' to run "
                                "until complete (default auto)")
-    p_factor.add_argument("--tau", type=int, default=1,
-                          help="failure-budget exponent feeding the "
-                               "iteration floor in auto mode (default 1)")
     p_factor.add_argument("--seed", type=int, default=None)
-    p_factor.add_argument("--no-nprime-opt", action="store_true",
-                          help="keep all arithmetic modulo N instead of "
-                               "the unfactored cofactor")
 
     p_sim = sub.add_parser("simulate",
                            help="generate an instance and find one order")
@@ -153,19 +143,16 @@ def cmd_factor(args) -> int:
             raise ValueError("r must be >= 1")
         if args.c < 1:
             raise ValueError("--c must be >= 1")
-        if args.tau < 1:
-            raise ValueError("--tau must be >= 1")
         seed = _resolve_seed(args.seed)
     except ValueError as exc:
         print(f"ordersplit factor: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rng = _make_rng(seed)
-    outcome = factor_with_order(
-        n, r, c=args.c, k=args.k, tau=args.tau, rng=rng,
-        use_reduced_modulus=not args.no_nprime_opt)
+    outcome = factor_with_order(n, r, c=args.c, k=args.k,
+                                rng=random.Random(seed))
     print(json.dumps({
         "N": n_text,
-        "factors": [{"p": str(p), "e": e} for p, e in outcome.factors],
+        "factors": [{"p": str(p), "e": e}
+                    for p, e in outcome.factorization.pairs],
         "complete": outcome.complete,
         "iterations": outcome.iterations,
     }))
@@ -180,7 +167,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"ordersplit simulate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rng = _make_rng(seed)
+    rng = random.Random(seed)
     try:
         instance = generate_instance(args.l, args.n, args.emax, rng)
         if args.mode == "exact":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from ordersplit.ntcore import (
@@ -35,7 +35,6 @@ __all__ = [
     "FactorSet",
     "Factorization",
     "RecoveryResult",
-    "FactorOutcome",
     "ShorOutcome",
     "guess_multiple",
     "split_two_adic",
@@ -50,6 +49,9 @@ logger = logging.getLogger(__name__)
 
 ODD_ORDER = "odd-order"
 MINUS_ONE = "minus-one"
+
+# factor_with_order strips primes up to this bound before the engine runs
+TRIAL_DIVISION_BOUND = 10**4
 
 
 def split_two_adic(v: int) -> tuple[int, int]:
@@ -108,7 +110,7 @@ def _multiplicity(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Sorted prime-power factorization; the product of the pairs is N."""
+    """Prime powers (p, e) with distinct primes in ascending order."""
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -128,9 +130,9 @@ class FactorSet:
 
     Insertions are refined by iterated gcd splitting until pairwise
     coprimality is restored; every entry is reduced to a non-power base and
-    flagged by a primality test. ``complete`` is recomputed after every
-    change: it holds when all entries are prime and their full
-    multiplicities in N multiply back to N.
+    flagged by a primality test. After every change ``factorization`` lists
+    the prime entries with their full multiplicities in N, and ``complete``
+    holds when those prime powers multiply back to N.
     """
 
     def __init__(self, target: int, *, rng: random.Random | None = None,
@@ -141,7 +143,6 @@ class FactorSet:
         self._rng = rng
         self._values: set[int] = set()
         self._prime_cache: dict[int, bool] = {}
-        self.complete = False
         for v in entries:
             self._insert(v)
         self._refresh()
@@ -174,14 +175,11 @@ class FactorSet:
                 self._values.add(x)
 
     def _refresh(self) -> None:
-        reconstructed = 1
-        all_prime = bool(self._values)
-        for v in self._values:
-            if self._is_prime(v):
-                reconstructed *= v ** _multiplicity(self.target, v)
-            else:
-                all_prime = False
-        self.complete = all_prime and reconstructed == self.target
+        # test in set order: the primality test draws from the run's rng
+        primes = sorted(v for v in self._values if self._is_prime(v))
+        self.factorization = Factorization(
+            tuple((p, _multiplicity(self.target, p)) for p in primes))
+        self.complete = self.factorization.product() == self.target
 
     def add_factor(self, d: int) -> bool:
         """Merge a nontrivial divisor d of the target into the set.
@@ -200,41 +198,29 @@ class FactorSet:
     def entries(self) -> tuple[tuple[int, bool], ...]:
         return tuple((v, self._is_prime(v)) for v in sorted(self._values))
 
-    def prime_factors(self) -> tuple[int, ...]:
-        return tuple(v for v in sorted(self._values) if self._is_prime(v))
-
     def unresolved_cofactor(self) -> int:
         """Target with all confirmed prime factors (full multiplicity) removed."""
-        n = self.target
-        for v in self._values:
-            if self._is_prime(v):
-                while n % v == 0:
-                    n //= v
-        return n
-
-    def to_factorization(self) -> Factorization:
-        if not self.complete:
-            raise ValueError("factor set is not complete")
-        return Factorization(tuple((p, _multiplicity(self.target, p))
-                                   for p in self.prime_factors()))
-
-    def __len__(self) -> int:
-        return len(self._values)
+        return self.target // self.factorization.product()
 
     def __repr__(self) -> str:
         return (f"FactorSet(target={self.target}, entries={self.entries}, "
                 f"complete={self.complete})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryResult:
-    """Outcome of a recovery run plus its work counters."""
+    """Outcome of a recovery run plus its work counters.
+
+    ``factorization`` lists the prime powers found so far, with their full
+    multiplicity; ``complete`` holds when they multiply back to N. ``guess``
+    is the grown exponent the engine ran with, None when it did not run.
+    """
 
     complete: bool
-    factorization: Factorization | None
-    factor_set: FactorSet
+    factorization: Factorization
     iterations: int
     gcd_calls: int
+    guess: GuessedExponent | None
 
 
 def _ceil_log2(m: int) -> int:
@@ -248,8 +234,7 @@ def default_iteration_cap(m: int) -> int:
 
 def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
                     rng: random.Random | None = None,
-                    use_reduced_modulus: bool = True,
-                    iteration_cap: int | None = None) -> RecoveryResult:
+                    use_reduced_modulus: bool = True) -> RecoveryResult:
     """Completely factor odd composite N given a multiple r of a unit's order.
 
     Runs the grown-exponent squaring-chain procedure: with r' = 2^t * o from
@@ -260,10 +245,11 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     pass ``use_reduced_modulus=False`` to keep all arithmetic modulo N.
     Non-unit draws with a nontrivial gcd are exploited as free factors.
 
-    With ``k`` fixed, exactly up to k iterations run; with k=None the loop
-    runs until the factorization is complete, capped at
-    ``iteration_cap`` (default 64 * ceil(log2 bitlen(N))) to guarantee
-    termination when r' misses the needed structure for two or more primes.
+    With ``k`` fixed, up to k iterations run; with k=None the loop runs
+    until the factorization is complete, capped at
+    ``default_iteration_cap(bitlen(N))`` to guarantee termination when r'
+    misses the needed structure for two or more primes. The result carries
+    the prime powers found, complete or not, and the grown exponent.
     """
     if rng is None:
         rng = random.Random()
@@ -279,7 +265,7 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     m = N.bit_length()
     guess = guess_multiple(r, m, c)
     t, o = guess.t, guess.o
-    budget = k if k is not None else (iteration_cap or default_iteration_cap(m))
+    budget = k if k is not None else default_iteration_cap(m)
 
     fs = FactorSet(N, rng=rng, entries=(N,))
     iterations = 0
@@ -308,10 +294,8 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
                 u = u * u % modulus
         if fs.complete:
             break
-    if fs.complete:
-        return RecoveryResult(True, fs.to_factorization(), fs,
-                              iterations, gcd_calls)
-    return RecoveryResult(False, None, fs, iterations, gcd_calls)
+    return RecoveryResult(fs.complete, fs.factorization, iterations,
+                          gcd_calls, guess)
 
 
 @dataclass(frozen=True)
@@ -364,27 +348,17 @@ def theoretical_failure_bound(n: int, m, c: int, k: int) -> float:
     return pair_term + unlucky_term
 
 
-@dataclass(frozen=True)
-class FactorOutcome:
-    """End-to-end factoring result for an arbitrary N >= 3."""
-
-    modulus: int
-    factors: tuple[tuple[int, int], ...]
-    complete: bool
-    iterations: int
-
-
 def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
-                      tau: int = 1, rng: random.Random | None = None,
-                      use_reduced_modulus: bool = True,
-                      trial_division_bound: int = 10**4) -> FactorOutcome:
+                      rng: random.Random | None = None) -> RecoveryResult:
     """Factor any N >= 3 given a multiple r of the order of a unit mod N.
 
-    Pre-processing strips primes up to ``trial_division_bound`` by trial
+    Pre-processing strips primes up to ``TRIAL_DIVISION_BOUND`` by trial
     division and reduces a perfect-power core to its base, so the recovery
     engine only ever sees an odd composite that is not a prime power. The
     order of any unit modulo a divisor of N divides r, so r stays valid for
-    the reduced core.
+    the reduced core. The result lists every prime found with its
+    multiplicity in N; its counters and ``guess`` come from the engine run,
+    if there was one.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
@@ -392,12 +366,12 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
         raise ValueError("r must be >= 1")
     if rng is None:
         rng = random.Random()
-    found = set(small_prime_divisors(N, trial_division_bound))
+    found = set(small_prime_divisors(N, TRIAL_DIVISION_BOUND))
     core = N
     for p in found:
         while core % p == 0:
             core //= p
-    iterations = 0
+    result = RecoveryResult(False, Factorization(()), 0, 0, None)
     if core > 1:
         if is_probable_prime(core, rng=rng):
             found.add(core)
@@ -406,18 +380,9 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
             if is_probable_prime(base, rng=rng):
                 found.add(base)
             else:
-                cap = None
-                if k is None:
-                    # tau only raises the floor of the budget; the default
-                    # cap dominates for every realistic bit length
-                    n_bound = max(2, int(base.bit_length() / math.log2(3)))
-                    cap = max(default_iteration_cap(base.bit_length()),
-                              choose_k(n_bound, tau))
-                result = recover_factors(base, r, c=c, k=k, rng=rng,
-                                         use_reduced_modulus=use_reduced_modulus,
-                                         iteration_cap=cap)
-                iterations = result.iterations
-                found.update(result.factor_set.prime_factors())
-    pairs = tuple(sorted((p, _multiplicity(N, p)) for p in found))
-    complete = math.prod(p**e for p, e in pairs) == N
-    return FactorOutcome(N, pairs, complete, iterations)
+                result = recover_factors(base, r, c=c, k=k, rng=rng)
+                found.update(p for p, _ in result.factorization.pairs)
+    factorization = Factorization(
+        tuple((p, _multiplicity(N, p)) for p in sorted(found)))
+    return replace(result, complete=factorization.product() == N,
+                   factorization=factorization)

@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 from ordersplit.engine import (
     default_iteration_cap,
-    guess_multiple,
     recover_factors,
     shor_split,
     theoretical_failure_bound,
@@ -160,8 +159,6 @@ def _count_missed_primes(instance: Instance, r_prime: int) -> int:
 
 def _verified(instance: Instance, factorization) -> bool:
     """Ground-truth check: pairs match the instance and multiply to N."""
-    if factorization is None:
-        return False
     expected = tuple(sorted(zip(instance.primes, instance.exponents)))
     return (factorization.pairs == expected
             and factorization.product() == instance.modulus)
@@ -186,7 +183,7 @@ def run_cell(l: int, n: int, e_max: int, config: ExperimentConfig,
     successes = 0
     sum_iterations = 0
     sum_gcd_calls = 0
-    sum_bits = 0
+    bit_lengths = []
     unlucky_events = 0
     for trial in range(config.trials_per_cell):
         rng = _trial_rng(config.seed, (l, n, e_max), trial)
@@ -199,9 +196,7 @@ def run_cell(l: int, n: int, e_max: int, config: ExperimentConfig,
         result = recover_factors(instance.modulus, order_result.order,
                                  c=config.c, k=config.k, rng=rng)
         ok = result.complete and _verified(instance, result.factorization)
-        r_prime = guess_multiple(order_result.order, instance.bit_length,
-                                 config.c).r_prime
-        missed = _count_missed_primes(instance, r_prime)
+        missed = _count_missed_primes(instance, result.guess.r_prime)
         if missed >= 2:
             unlucky_events += 1
         if ok:
@@ -224,11 +219,12 @@ def run_cell(l: int, n: int, e_max: int, config: ExperimentConfig,
                 on_failure(detail)
         sum_iterations += result.iterations
         sum_gcd_calls += result.gcd_calls
-        sum_bits += instance.bit_length
+        bit_lengths.append(instance.bit_length)
     trials = config.trials_per_cell
-    mean_bits = sum_bits / trials
+    mean_bits = sum(bit_lengths) / trials
+    # in auto mode, the smallest cap any trial of the cell ran under
     bound_k = config.k if config.k is not None else default_iteration_cap(
-        round(mean_bits))
+        min(bit_lengths))
     bound = theoretical_failure_bound(n, mean_bits, config.c, bound_k)
     return CellReport(
         l=l, n=n, e_max=e_max, c=config.c, k_policy=config.k_policy,

@@ -44,7 +44,6 @@ class Instance:
     primes: tuple[int, ...]
     exponents: tuple[int, ...]
     modulus: int
-    bit_length: int
 
     def __post_init__(self):
         if len(self.primes) != len(self.exponents):
@@ -60,18 +59,17 @@ class Instance:
         n = math.prod(p**e for p, e in zip(self.primes, self.exponents))
         if n != self.modulus:
             raise ValueError("modulus does not match the prime powers")
-        if self.modulus.bit_length() != self.bit_length:
-            raise ValueError("bit_length does not match the modulus")
+
+    @property
+    def bit_length(self) -> int:
+        return self.modulus.bit_length()
 
     @classmethod
     def from_parts(cls, primes, exponents) -> "Instance":
         primes = tuple(int(p) for p in primes)
         exponents = tuple(int(e) for e in exponents)
         modulus = math.prod(p**e for p, e in zip(primes, exponents))
-        return cls(primes, exponents, modulus, modulus.bit_length())
-
-    def prime_powers(self) -> tuple[int, ...]:
-        return tuple(p**e for p, e in zip(self.primes, self.exponents))
+        return cls(primes, exponents, modulus)
 
     def validate(self, rng: random.Random | None = None) -> None:
         """Check the primality of every listed prime (Miller-Rabin)."""
@@ -212,7 +210,9 @@ def _factor_completely(n: int, trial_bound: int = 10**6) -> dict[int, int]:
     Deterministic: the rho stream is seeded from n itself.
     """
     factors: dict[int, int] = {}
-    for p in small_prime_divisors(n, min(trial_bound, math.isqrt(n) + 1)):
+    # a power of two >= sqrt(n) keeps one sieve per bit length of n
+    for p in small_prime_divisors(n, min(trial_bound,
+                                         1 << (n.bit_length() + 1) // 2)):
         factors[p] = 0
         while n % p == 0:
             factors[p] += 1

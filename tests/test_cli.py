@@ -96,12 +96,20 @@ class TestFactorCommand:
                              "--k", "sometimes")
         assert code == EXIT_USAGE
 
-    def test_fixed_k_and_no_nprime_opt(self, capsys):
+    def test_fixed_k(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "--N", "143", "--r", "60",
-                               "--k", "16", "--no-nprime-opt", "--seed", "5")
+                               "--k", "16", "--seed", "5")
         assert code == EXIT_OK
         data = json.loads(out)
         assert data["factors"] == [{"p": "11", "e": 1}, {"p": "13", "e": 1}]
+
+    @pytest.mark.parametrize("flag", [["--tau", "2"], ["--no-nprime-opt"]],
+                             ids=["tau", "no-nprime-opt"])
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
+        code, out, _ = run_cli(capsys, "factor", "--N", "143", "--r", "60",
+                               *flag)
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_incomplete_exit_code(self, capsys):
         # a useless r with a single iteration on a 22-digit semiprime core

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import trial_division_factorization
+from ordersplit import engine
 from ordersplit.engine import (
     FactorSet,
     Factorization,
@@ -136,14 +137,14 @@ class TestFactorSet:
         _check_invariants(fs)
         assert {v for v, _ in fs.entries} == {3, 5, 7}
         assert fs.complete
-        assert fs.to_factorization().pairs == ((3, 1), (5, 1), (7, 1))
+        assert fs.factorization.pairs == ((3, 1), (5, 1), (7, 1))
 
     def test_multiplicity_extraction_9(self):
         fs = FactorSet(9, rng=random.Random(0))
         fs.add_factor(3)
         assert fs.entries == ((3, True),)
         assert fs.complete
-        assert fs.to_factorization().pairs == ((3, 2),)
+        assert fs.factorization.pairs == ((3, 2),)
 
     def test_power_entries_are_reduced(self):
         fs = FactorSet(225, rng=random.Random(0), entries=(225,))
@@ -152,7 +153,7 @@ class TestFactorSet:
         fs.add_factor(9)
         _check_invariants(fs)
         assert fs.complete
-        assert fs.to_factorization().pairs == ((3, 2), (5, 2))
+        assert fs.factorization.pairs == ((3, 2), (5, 2))
 
     def test_rejects_non_divisors(self):
         fs = FactorSet(15, rng=random.Random(0), entries=(15,))
@@ -183,7 +184,7 @@ class TestFactorSet:
                     fs.add_factor(rng.choice(divisors))
                 _check_invariants(fs)
             if fs.complete:
-                assert fs.to_factorization().product() == n
+                assert fs.factorization.product() == n
 
 
 class TestFactorization:
@@ -272,6 +273,23 @@ class TestRecoverFactors:
             assert on.complete and off.complete
             assert on.factorization == off.factorization
 
+    def test_incomplete_run_lists_true_prime_powers(self):
+        rng = random.Random(3)
+        inst = generate_instance(12, 3, 2, rng)
+        g = sample_unit(inst.modulus, rng, exclude_one=True)
+        r = exact_order(inst, g).order
+        result = recover_factors(inst.modulus, r, k=1, rng=rng)
+        assert not result.complete
+        truth = set(zip(inst.primes, inst.exponents))
+        assert result.factorization.pairs
+        assert set(result.factorization.pairs) <= truth
+        assert inst.modulus % result.factorization.product() == 0
+
+    def test_result_carries_the_grown_exponent(self):
+        for n, r, c in ((143, 60, 1), (1001, 60, 2), (9, 6, 1)):
+            result = recover_factors(n, r, c=c, rng=random.Random(9))
+            assert result.guess == guess_multiple(r, n.bit_length(), c)
+
     def test_counters_populated(self):
         result = recover_factors(143, 60, rng=random.Random(8))
         assert result.complete
@@ -356,37 +374,43 @@ class TestTheoreticalFailureBound:
 
 
 class TestFactorWithOrder:
+    # primes above the trial-division bound, and r = lcm(p - 1, q - 1)
+    P, Q = 10007, 10009
+    R = 10006 * 10008 // 2
+
     def test_engine_case(self):
-        outcome = factor_with_order(15, 4, rng=random.Random(0),
-                                    trial_division_bound=2)
+        outcome = factor_with_order(self.P * self.Q, self.R,
+                                    rng=random.Random(0))
         assert outcome.complete
-        assert outcome.factors == ((3, 1), (5, 1))
+        assert outcome.factorization.pairs == ((self.P, 1), (self.Q, 1))
+        assert outcome.iterations >= 1
 
     def test_trial_division_strips_everything(self):
         outcome = factor_with_order(30, 4, rng=random.Random(1))
         assert outcome.complete
-        assert outcome.factors == ((2, 1), (3, 1), (5, 1))
+        assert outcome.factorization.pairs == ((2, 1), (3, 1), (5, 1))
         assert outcome.iterations == 0
+        assert outcome.guess is None
 
     def test_perfect_power(self):
-        outcome = factor_with_order(49, 1, rng=random.Random(2),
-                                    trial_division_bound=2)
+        outcome = factor_with_order(self.P**2, 1, rng=random.Random(2))
         assert outcome.complete
-        assert outcome.factors == ((7, 2),)
+        assert outcome.factorization.pairs == ((self.P, 2),)
         assert outcome.iterations == 0
 
     def test_prime_input(self):
         outcome = factor_with_order(101, 1, rng=random.Random(3))
         assert outcome.complete
-        assert outcome.factors == ((101, 1),)
+        assert outcome.factorization.pairs == ((101, 1),)
 
     def test_composite_power_of_composite(self):
-        # 225 = 15^2: power reduction to 15, engine splits 3 * 5,
+        # (PQ)^2: power reduction to PQ, engine splits P * Q,
         # multiplicities recovered against the original N
-        outcome = factor_with_order(225, 4, rng=random.Random(4),
-                                    trial_division_bound=2)
+        outcome = factor_with_order((self.P * self.Q) ** 2, self.R,
+                                    rng=random.Random(4))
         assert outcome.complete
-        assert outcome.factors == ((3, 2), (5, 2))
+        assert outcome.factorization.pairs == ((self.P, 2), (self.Q, 2))
+        assert outcome.iterations >= 1
 
     def test_mixed_preprocessing_and_engine(self):
         rng = random.Random(5)
@@ -399,7 +423,25 @@ class TestFactorWithOrder:
         expected = {2: 2, 3: 1}
         for p, e in zip(inst.primes, inst.exponents):
             expected[p] = expected.get(p, 0) + e
-        assert outcome.factors == tuple(sorted(expected.items()))
+        assert outcome.factorization.pairs == tuple(sorted(expected.items()))
+
+    def test_engine_counters_and_guess_pass_through(self, monkeypatch):
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(recover_factors(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(engine, "recover_factors", spy)
+        outcome = factor_with_order(3 * self.P * self.Q, self.R,
+                                    rng=random.Random(6))
+        (inner,) = runs
+        assert outcome.complete
+        assert (outcome.iterations, outcome.gcd_calls, outcome.guess) == (
+            inner.iterations, inner.gcd_calls, inner.guess)
+        assert outcome.gcd_calls >= 1
+        assert outcome.guess == guess_multiple(
+            self.R, (self.P * self.Q).bit_length())
 
     def test_domain(self):
         with pytest.raises(ValueError):

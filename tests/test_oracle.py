@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import brute_force_order, trial_division_factorization
-from ordersplit.ntcore import primes_up_to
+from ordersplit.ntcore import _sieve, primes_up_to
 from ordersplit.oracle import (
     InfeasibleParametersError,
     Instance,
@@ -35,7 +35,7 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance.from_parts([3, 5], [0, 1])  # zero exponent
         with pytest.raises(ValueError):
-            Instance((3, 5), (1, 1), 16, 5)  # wrong modulus
+            Instance((3, 5), (1, 1), 16)  # wrong modulus
 
     def test_json_round_trip(self):
         inst = Instance.from_parts([11, 13], [2, 1])
@@ -154,6 +154,15 @@ class TestFactorCompletely:
 
     def test_prime_power(self):
         assert _factor_completely(3**20) == {3: 20}
+
+    def test_one_sieve_per_bit_length(self):
+        rng = random.Random(7)
+        numbers = {rng.randrange(1 << 29, 1 << 30) for _ in range(10)}
+        _sieve.cache_clear()
+        for n in numbers:
+            assert _factor_completely(n) == trial_division_factorization(n)
+        assert len(numbers) == 10
+        assert _sieve.cache_info().currsize == 1
 
 
 class TestExactOrder:
