@@ -130,29 +130,20 @@ class FactorSet:
 
     Insertions are refined by iterated gcd splitting until pairwise
     coprimality is restored; every entry is reduced to a non-power base and
-    flagged by a primality test. After every change ``factorization`` lists
-    the prime entries with their full multiplicities in N, and ``complete``
-    holds when those prime powers multiply back to N.
+    gets its ``is_probable_prime`` verdict once, when it is inserted. After
+    every change ``factorization`` lists the prime entries with their full
+    multiplicities in N, and ``complete`` holds when those prime powers
+    multiply back to N.
     """
 
-    def __init__(self, target: int, *, rng: random.Random | None = None,
-                 entries=()):
+    def __init__(self, target: int, *, entries=()):
         if target < 2:
             raise ValueError("target must be >= 2")
         self.target = target
-        self._rng = rng
-        self._values: set[int] = set()
-        self._prime_cache: dict[int, bool] = {}
+        self._values: dict[int, bool] = {}  # entry -> primality verdict
         for v in entries:
             self._insert(v)
         self._refresh()
-
-    def _is_prime(self, v: int) -> bool:
-        flag = self._prime_cache.get(v)
-        if flag is None:
-            flag = is_probable_prime(v, rng=self._rng)
-            self._prime_cache[v] = flag
-        return flag
 
     def _insert(self, value: int) -> None:
         if not 1 < value <= self.target or self.target % value != 0:
@@ -168,15 +159,16 @@ class FactorSet:
             for v in self._values:
                 g = math.gcd(x, v)
                 if g > 1:
-                    self._values.remove(v)
-                    work.extend((g, v // g, x // g))
+                    if g < v:  # else v divides x: v stays, with its verdict
+                        del self._values[v]
+                        work.extend((g, v // g))
+                    work.append(x // g)
                     break
             else:
-                self._values.add(x)
+                self._values[x] = is_probable_prime(x)
 
     def _refresh(self) -> None:
-        # test in set order: the primality test draws from the run's rng
-        primes = sorted(v for v in self._values if self._is_prime(v))
+        primes = sorted(v for v, prime in self._values.items() if prime)
         self.factorization = Factorization(
             tuple((p, _multiplicity(self.target, p)) for p in primes))
         self.complete = self.factorization.product() == self.target
@@ -196,7 +188,7 @@ class FactorSet:
 
     @property
     def entries(self) -> tuple[tuple[int, bool], ...]:
-        return tuple((v, self._is_prime(v)) for v in sorted(self._values))
+        return tuple(sorted(self._values.items()))
 
     def unresolved_cofactor(self) -> int:
         """Target with all confirmed prime factors (full multiplicity) removed."""
@@ -250,13 +242,18 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     ``default_iteration_cap(bitlen(N))`` to guarantee termination when r'
     misses the needed structure for two or more primes. The result carries
     the prime powers found, complete or not, and the grown exponent.
+
+    A prime N raises ValueError; the factor set's verdict on N, from
+    ``is_probable_prime``, decides it. A prime power resolves with no
+    iteration. ``rng`` drives only the draws of units.
     """
     if rng is None:
         rng = random.Random()
     if N % 2 == 0 or N < 9:
         raise ValueError("N must be an odd composite >= 9; strip small "
                          "factors first")
-    if is_probable_prime(N, rng=rng):
+    fs = FactorSet(N, entries=(N,))
+    if fs.factorization.pairs == ((N, 1),):
         raise ValueError("N is prime; nothing to factor")
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -267,7 +264,6 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     t, o = guess.t, guess.o
     budget = k if k is not None else default_iteration_cap(m)
 
-    fs = FactorSet(N, rng=rng, entries=(N,))
     iterations = 0
     gcd_calls = 0
     for _ in range(budget):
@@ -373,11 +369,11 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
             core //= p
     result = RecoveryResult(False, Factorization(()), 0, 0, None)
     if core > 1:
-        if is_probable_prime(core, rng=rng):
+        if is_probable_prime(core):
             found.add(core)
         else:
-            base, _ = perfect_power_reduce(core)
-            if is_probable_prime(base, rng=rng):
+            base, exp = perfect_power_reduce(core)
+            if exp > 1 and is_probable_prime(base):
                 found.add(base)
             else:
                 result = recover_factors(base, r, c=c, k=k, rng=rng)

@@ -109,7 +109,7 @@ class ExperimentConfig:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellReport:
     """Aggregated results for one grid cell."""
 

@@ -1,16 +1,14 @@
 """Arbitrary-precision number-theory primitives.
 
-Prime sieving, small-prime divisors, probabilistic primality testing,
-perfect-power reduction and exact multiplicative orders. Everything here is
-a pure function; randomized routines take an explicit ``random.Random``
-stream so callers control reproducibility.
+Prime sieving, small-prime divisors, primality testing, perfect-power
+reduction and exact multiplicative orders. Everything here is a pure
+function.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from functools import lru_cache
 
 __all__ = [
@@ -23,9 +21,12 @@ __all__ = [
     "multiplicative_order",
 ]
 
-# 4^-64 residual error for composites; negligible against any failure budget
-# the callers work with.
-DEFAULT_MR_ROUNDS = 64
+# The 13 primes <= 41: trial divisors and, below _PSI_13, strong-test bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Smallest strong pseudoprime to all of _SMALL_PRIMES (Sorenson & Webster
+# 2015), so below it those 13 strong tests decide primality exactly.
+_PSI_13 = 3317044064679887385961981
 
 # Primes per gcd in small_prime_divisors. Larger chunks save little per
 # sweep and cost more to build: 256 primes near 10^6 make ~5,000 bits.
@@ -101,40 +102,86 @@ def eta(q: int, bound: int) -> int:
     return e
 
 
-def is_probable_prime(z: int, rounds: int = DEFAULT_MR_ROUNDS,
-                      rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test with randomly drawn bases.
+def _strong_probable_prime(z: int, a: int) -> bool:
+    """Strong (Miller-Rabin) test of odd z > 3 to base a, 1 < a < z - 1."""
+    m = z - 1
+    s = (m & -m).bit_length() - 1
+    x = pow(a, m >> s, z)
+    if x == 1 or x == z - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % z
+        if x == z - 1:
+            return True
+    return False
 
-    False positives (a composite reported prime) occur with probability at
-    most 4**-rounds. Bases come from ``rng`` when given, so results are
-    reproducible only under a fixed seed; with rng=None the module-level
-    random stream is used.
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 41, not a square, with Selfridge's
+    parameters: the first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1
+    and Q = (1 - D) / 4."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    m = n + 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
+    # U_k, V_k and Q^k mod n for k = 1, then the bits of d below the top
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V  # 2U_{k+1}, 2V_{k+1}; n is odd
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_probable_prime(z: int) -> bool:
+    """Primality of z: trial division by the primes <= 41, then strong tests.
+
+    Below 3,317,044,064,679,887,385,961,981 (about 3.3e24) strong tests to
+    the 13 bases <= 41 make the answer exact (Sorenson & Webster 2015).
+    From there on it is the Baillie-PSW test: a strong base-2 test, a
+    perfect-square check and a strong Lucas test with Selfridge's
+    parameters. No composite is known to pass it, though none is proven
+    impossible.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if z < 2:
         return False
-    if z in (2, 3):
-        return True
-    if z % 2 == 0:
-        return False
-    src = rng if rng is not None else random
-    d, s = z - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(rounds):
-        a = src.randrange(2, z - 1)
-        x = pow(a, d, z)
-        if x == 1 or x == z - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % z
-            if x == z - 1:
-                break
-        else:
-            return False
-    return True
+    for p in _SMALL_PRIMES:
+        if z % p == 0:
+            return z == p
+    if z < _PSI_13:
+        return all(_strong_probable_prime(z, a) for a in _SMALL_PRIMES)
+    return (_strong_probable_prime(z, 2) and math.isqrt(z) ** 2 != z
+            and _strong_lucas_probable_prime(z))
 
 
 def integer_nth_root(x: int, n: int) -> int:

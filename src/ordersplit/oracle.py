@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from ordersplit.ntcore import (is_probable_prime, multiplicative_order,
-                               primes_up_to, small_prime_divisors)
+from ordersplit.ntcore import (_strong_probable_prime, is_probable_prime,
+                               multiplicative_order, primes_up_to,
+                               small_prime_divisors)
 
 __all__ = [
     "InfeasibleParametersError",
@@ -71,10 +72,10 @@ class Instance:
         modulus = math.prod(p**e for p, e in zip(primes, exponents))
         return cls(primes, exponents, modulus)
 
-    def validate(self, rng: random.Random | None = None) -> None:
-        """Check the primality of every listed prime (Miller-Rabin)."""
+    def validate(self) -> None:
+        """Check the primality of every listed prime (``is_probable_prime``)."""
         for p in self.primes:
-            if not is_probable_prime(p, rng=rng):
+            if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
 
     def to_json_dict(self) -> dict:
@@ -127,8 +128,9 @@ def generate_instance(l: int, n: int, e_max: int,
     uniform on [1, e_max].
 
     Primes are found by rejection: uniform odd l-bit integers are tested
-    with Miller-Rabin until n distinct primes accumulate, which samples
-    uniformly from the odd l-bit primes.
+    with up to 64 strong tests to random bases from ``rng`` until n
+    distinct primes accumulate, which samples uniformly from the odd l-bit
+    primes. A composite passes with probability at most 4^-64.
     """
     if l < 3:
         raise InfeasibleParametersError("prime bit length must be >= 3")
@@ -146,7 +148,12 @@ def generate_instance(l: int, n: int, e_max: int,
         candidate = (1 << (l - 1)) | rng.getrandbits(l - 1) | 1
         if candidate in primes:
             continue
-        if is_probable_prime(candidate, rng=rng):
+        # A fresh random base per strong test, stopping at the first
+        # witness: seeded instances, and every draw after them, depend on
+        # exactly this use of rng, so the sampler keeps it.
+        if all(_strong_probable_prime(candidate,
+                                      rng.randrange(2, candidate - 1))
+               for _ in range(64)):
             primes.append(candidate)
     exponents = [rng.randint(1, e_max) for _ in range(n)]
     return Instance.from_parts(primes, exponents)
@@ -223,7 +230,7 @@ def _factor_completely(n: int, trial_bound: int = 10**6) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if is_probable_prime(m, rng=rng):
+        if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _pollard_rho(m, rng)

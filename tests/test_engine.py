@@ -113,7 +113,7 @@ def _check_invariants(fs: FactorSet):
         assert 1 < v <= fs.target
         assert fs.target % v == 0
         assert perfect_power_reduce(v)[1] == 1
-        assert prime == is_probable_prime(v, rng=random.Random(0))
+        assert prime == is_probable_prime(v)
     for i, a in enumerate(values):
         for b in values[i + 1:]:
             assert math.gcd(a, b) == 1, (a, b)
@@ -121,14 +121,14 @@ def _check_invariants(fs: FactorSet):
 
 class TestFactorSet:
     def test_split_15(self):
-        fs = FactorSet(15, rng=random.Random(0), entries=(15,))
+        fs = FactorSet(15, entries=(15,))
         assert fs.add_factor(3)
         _check_invariants(fs)
         assert fs.entries == ((3, True), (5, True))
         assert fs.complete
 
     def test_successive_refinement_105(self):
-        fs = FactorSet(105, rng=random.Random(0), entries=(105,))
+        fs = FactorSet(105, entries=(105,))
         fs.add_factor(15)
         _check_invariants(fs)
         assert {v for v, _ in fs.entries} == {15, 7}
@@ -140,14 +140,14 @@ class TestFactorSet:
         assert fs.factorization.pairs == ((3, 1), (5, 1), (7, 1))
 
     def test_multiplicity_extraction_9(self):
-        fs = FactorSet(9, rng=random.Random(0))
+        fs = FactorSet(9)
         fs.add_factor(3)
         assert fs.entries == ((3, True),)
         assert fs.complete
         assert fs.factorization.pairs == ((3, 2),)
 
     def test_power_entries_are_reduced(self):
-        fs = FactorSet(225, rng=random.Random(0), entries=(225,))
+        fs = FactorSet(225, entries=(225,))
         # 225 = 15^2 reduces to 15 on entry, which is composite
         assert fs.entries == ((15, False),)
         fs.add_factor(9)
@@ -156,7 +156,7 @@ class TestFactorSet:
         assert fs.factorization.pairs == ((3, 2), (5, 2))
 
     def test_rejects_non_divisors(self):
-        fs = FactorSet(15, rng=random.Random(0), entries=(15,))
+        fs = FactorSet(15, entries=(15,))
         assert not fs.add_factor(7)
         assert not fs.add_factor(1)
         assert not fs.add_factor(15)
@@ -164,7 +164,7 @@ class TestFactorSet:
         assert fs.entries == ((15, False),)
 
     def test_unresolved_cofactor(self):
-        fs = FactorSet(105, rng=random.Random(0), entries=(105,))
+        fs = FactorSet(105, entries=(105,))
         assert fs.unresolved_cofactor() == 105
         fs.add_factor(7)
         assert fs.unresolved_cofactor() == 15
@@ -175,9 +175,9 @@ class TestFactorSet:
         rng = random.Random(4)
         for _ in range(50):
             n = rng.randrange(4, 10**6)
-            if n % 2 == 0 or is_probable_prime(n, rng=rng):
+            if n % 2 == 0 or is_probable_prime(n):
                 continue
-            fs = FactorSet(n, rng=rng, entries=(n,))
+            fs = FactorSet(n, entries=(n,))
             divisors = [d for d in range(2, min(n, 2000)) if n % d == 0]
             for _ in range(6):
                 if divisors:
@@ -185,6 +185,35 @@ class TestFactorSet:
                 _check_invariants(fs)
             if fs.complete:
                 assert fs.factorization.product() == n
+
+    def test_entry_dividing_an_insert_keeps_its_verdict(self, monkeypatch):
+        fs = FactorSet(105, entries=(3, 35))  # 3 is met first below
+        assert fs.entries == ((3, True), (35, False))
+        tested = []
+
+        def recording(z):
+            tested.append(z)
+            return is_probable_prime(z)
+
+        monkeypatch.setattr(engine, "is_probable_prime", recording)
+        fs.add_factor(15)  # 3 | 15: 3 stays, and 5 splits 35
+        _check_invariants(fs)
+        assert fs.entries == ((3, True), (5, True), (7, True))
+        assert fs.complete
+        assert sorted(tested) == [5, 7]
+
+    def test_verdicts_on_entries_past_psi_13(self):
+        p, q = 2**89 - 1, 2**127 - 1
+        target = p**2 * q * 10007
+        fs = FactorSet(target, entries=(target,))
+        assert fs.entries == ((target, False),)
+        fs.add_factor(q)
+        _check_invariants(fs)
+        assert fs.entries == ((q, True), (p**2 * 10007, False))
+        fs.add_factor(10007)
+        _check_invariants(fs)
+        assert fs.complete
+        assert fs.factorization.pairs == ((10007, 1), (p, 2), (q, 1))
 
 
 class TestFactorization:
@@ -217,10 +246,12 @@ class TestRecoverFactors:
         assert result.factorization.pairs == ((11, 1), (13, 1))
 
     def test_prime_power_resolves_without_iterations(self):
-        result = recover_factors(9, 6, rng=random.Random(3))
-        assert result.complete
-        assert result.factorization.pairs == ((3, 2),)
-        assert result.iterations == 0
+        for n, pairs in ((9, ((3, 2),)), (10007**2, ((10007, 2),)),
+                         (3**5, ((3, 5),))):
+            result = recover_factors(n, 6, rng=random.Random(3))
+            assert result.complete
+            assert result.factorization.pairs == pairs
+            assert result.iterations == 0
 
     def test_fixed_k_may_stop_incomplete(self):
         # with r=1 the grown exponent rarely covers a 24-bit semiprime, so a
@@ -239,8 +270,8 @@ class TestRecoverFactors:
             recover_factors(10, 4, rng=rng)  # even
         with pytest.raises(ValueError):
             recover_factors(7, 6, rng=rng)  # too small
-        with pytest.raises(ValueError):
-            recover_factors(101, 100, rng=rng)  # prime
+        with pytest.raises(ValueError, match="N is prime"):
+            recover_factors(101, 100, rng=rng)
         with pytest.raises(ValueError):
             recover_factors(15, 0, rng=rng)
         with pytest.raises(ValueError):
@@ -249,7 +280,7 @@ class TestRecoverFactors:
     def test_never_wrong_on_small_odd_composites(self):
         rng = random.Random(6)
         for n in range(9, 4000, 2):
-            if is_probable_prime(n, rng=rng):
+            if is_probable_prime(n):
                 continue
             g = sample_unit(n, rng)
             r = _phi_factored_order(g, n)

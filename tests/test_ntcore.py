@@ -6,6 +6,9 @@ import pytest
 from conftest import brute_force_order, naive_sieve
 from ordersplit.ntcore import (
     _CHUNK,
+    _sieve,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     eta,
     integer_nth_root,
     is_probable_prime,
@@ -119,35 +122,74 @@ class TestEta:
             eta(7, 6)
 
 
+PSI_13 = 3317044064679887385961981  # strong pseudoprime to all bases <= 41
+
+
 class TestIsProbablePrime:
     def test_edges(self):
-        rng = random.Random(5)
-        assert not is_probable_prime(0, rng=rng)
-        assert not is_probable_prime(1, rng=rng)
-        assert is_probable_prime(2, rng=rng)
-        assert is_probable_prime(3, rng=rng)
-        assert not is_probable_prime(4, rng=rng)
+        assert not is_probable_prime(0)
+        assert not is_probable_prime(1)
+        assert is_probable_prime(2)
+        assert is_probable_prime(3)
+        assert not is_probable_prime(4)
 
     def test_carmichael_number_is_rejected(self):
-        assert not is_probable_prime(561, rng=random.Random(6))  # 3*11*17
+        for z in (561, 1105, 1729):  # 3*11*17, 5*13*17, 7*13*19
+            assert not is_probable_prime(z), z
 
     def test_thousandth_prime(self):
-        assert is_probable_prime(7919, rng=random.Random(7))
+        assert is_probable_prime(7919)
 
-    def test_agrees_with_sieve_below_1e5(self):
-        sieve = set(primes_up_to(10**5))
-        rng = random.Random(8)
-        for z in range(10**5):
-            assert is_probable_prime(z, rounds=16, rng=rng) == (z in sieve), z
+    def test_agrees_with_sieve_below_1e6(self):
+        sieve = _sieve(10**6)
+        primes = set(sieve)
+        assert len(sieve) == 78498
+        for z in range(10**6):
+            assert is_probable_prime(z) == (z in primes), z
 
-    def test_rounds_validation(self):
-        with pytest.raises(ValueError):
-            is_probable_prime(97, rounds=0)
+    def test_strong_pseudoprimes_are_rejected(self):
+        # to base 2; then strong Lucas pseudoprimes (Selfridge parameters)
+        for z in (2047, 3215031751, 3825123056546413051,
+                  5459, 5777, 10877, 16109, 18971):
+            assert not is_probable_prime(z), z
 
-    def test_reproducible_under_seed(self):
-        a = [is_probable_prime(n, rng=random.Random(9)) for n in range(2, 50)]
-        b = [is_probable_prime(n, rng=random.Random(9)) for n in range(2, 50)]
-        assert a == b
+    def test_psi_12_and_psi_13_are_rejected(self):
+        # psi_12 fools the bases up to 37 and falls to 41; psi_13 fools all
+        # 13 bases, so only the Baillie-PSW branch can reject it
+        assert not is_probable_prime(318665857834031151167461)
+        assert all(_strong_probable_prime(PSI_13, a)
+                   for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+        assert not is_probable_prime(PSI_13)
+
+    def test_mersenne_primes_and_a_prime_square(self):
+        for e in (89, 127, 521):
+            assert is_probable_prime(2**e - 1), e
+        assert not is_probable_prime((2**89 - 1) ** 2)
+
+    def test_strong_lucas_test_passes_exactly_primes_and_its_pseudoprimes(self):
+        # the first strong Lucas pseudoprimes (OEIS A217255) pass it, and
+        # every prime does: this pins the Lucas half of Baillie-PSW
+        pseudoprimes = {5459, 5777, 10877, 16109, 18971}
+        primes = set(_sieve(20000))
+        for z in range(43, 20000, 2):
+            if math.isqrt(z) ** 2 == z:
+                continue
+            expected = z in primes or z in pseudoprimes
+            assert _strong_lucas_probable_prime(z) == expected, z
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(12)
+        for _ in range(300):
+            bits = rng.randrange(64, 2049)
+            z = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            assert is_probable_prime(z) == sympy.isprime(z), z
+        # products of two primes of equal size, on both sides of PSI_13
+        for bits in (32, 40, 41, 42, 64, 128, 512, 1024):
+            p, q = (sympy.nextprime(rng.getrandbits(bits) | (1 << (bits - 1)))
+                    for _ in range(2))
+            assert is_probable_prime(p) and is_probable_prime(q)
+            assert is_probable_prime(p * q) == sympy.isprime(p * q), (p, q)
 
 
 class TestIntegerNthRoot:
@@ -200,7 +242,7 @@ class TestPerfectPowerReduce:
             # random prime up to 2^32 by rejection
             while True:
                 q = rng.randrange(2, 1 << 32)
-                if is_probable_prime(q, rng=rng):
+                if is_probable_prime(q):
                     break
             e = rng.randrange(1, 11)
             assert perfect_power_reduce(q**e) == (q, e), (q, e)

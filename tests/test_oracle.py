@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import brute_force_order, trial_division_factorization
+from ordersplit.harness import _trial_rng
 from ordersplit.ntcore import _sieve, primes_up_to
 from ordersplit.oracle import (
     InfeasibleParametersError,
@@ -77,7 +78,7 @@ class TestGenerateInstance:
             for p in inst.primes:
                 assert p.bit_length() == 16
             assert all(1 <= e <= 2 for e in inst.exponents)
-            inst.validate(random.Random(seed))
+            inst.validate()
 
     def test_infeasible_when_not_enough_primes(self):
         with pytest.raises(InfeasibleParametersError):
@@ -97,6 +98,20 @@ class TestGenerateInstance:
         a = generate_instance(16, 3, 3, random.Random(99))
         b = generate_instance(16, 3, 3, random.Random(99))
         assert a == b
+
+    def test_seeded_draws_are_pinned(self):
+        # Seeded instances, and the acceptance criteria's fixed seeds, rest
+        # on exactly these draws; a change to how the sampler uses rng
+        # fails here first.
+        inst = generate_instance(16, 3, 2, random.Random(1))
+        assert inst.primes == (37171, 56957, 39317)
+        assert inst.exponents == (1, 1, 2)
+        inst = generate_instance(64, 3, 1, random.Random(2))
+        assert inst.primes == (17853789038713974721, 16830325204401868543,
+                               10701286004744145791)
+        # the first trial of criterion 3 (the Shor baseline)
+        rng = _trial_rng(20260809 + 2, ("shor-baseline", 16), 0)
+        assert generate_instance(16, 2, 1, rng).primes == (45337, 59447)
 
 
 class TestSampleUnit:
