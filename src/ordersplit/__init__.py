@@ -17,7 +17,6 @@ from ordersplit.engine import (
     guess_multiple,
     recover_factors,
     shor_split,
-    split_two_adic,
     theoretical_failure_bound,
 )
 from ordersplit.harness import (
@@ -38,6 +37,7 @@ from ordersplit.ntcore import (
     perfect_power_reduce,
     primes_up_to,
     small_prime_divisors,
+    split_two_adic,
 )
 from ordersplit.oracle import (
     InfeasibleParametersError,

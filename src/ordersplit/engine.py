@@ -27,6 +27,7 @@ from ordersplit.ntcore import (
     perfect_power_reduce,
     primes_up_to,
     small_prime_divisors,
+    split_two_adic,
 )
 from ordersplit.oracle import sample_unit
 
@@ -52,14 +53,6 @@ MINUS_ONE = "minus-one"
 
 # factor_with_order strips primes up to this bound before the engine runs
 TRIAL_DIVISION_BOUND = 10**4
-
-
-def split_two_adic(v: int) -> tuple[int, int]:
-    """Write v = 2^t * o with o odd; returns (t, o)."""
-    if v < 1:
-        raise ValueError("v must be >= 1")
-    t = (v & -v).bit_length() - 1
-    return t, v >> t
 
 
 @lru_cache(maxsize=256)
@@ -149,11 +142,14 @@ class FactorSet:
         if not 1 < value <= self.target or self.target % value != 0:
             raise ValueError(f"{value} is not a nontrivial divisor of {self.target}")
         work = [value]
+        bases: set[int] = set()  # reduced here already: not perfect powers
         while work:
             x = work.pop()
             if x == 1:
                 continue
-            x, _ = perfect_power_reduce(x)
+            if x not in bases:
+                x, _ = perfect_power_reduce(x)
+                bases.add(x)
             if x in self._values:
                 continue
             for v in self._values:
@@ -349,12 +345,12 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
     """Factor any N >= 3 given a multiple r of the order of a unit mod N.
 
     Pre-processing strips primes up to ``TRIAL_DIVISION_BOUND`` by trial
-    division and reduces a perfect-power core to its base, so the recovery
-    engine only ever sees an odd composite that is not a prime power. The
-    order of any unit modulo a divisor of N divides r, so r stays valid for
-    the reduced core. The result lists every prime found with its
-    multiplicity in N; its counters and ``guess`` come from the engine run,
-    if there was one.
+    division; a prime core is then done, and any other core goes to
+    ``recover_factors``, which resolves a prime power with no iteration.
+    The order of any unit modulo a divisor of N divides r, so r stays valid
+    for the core. The result lists every prime found with its multiplicity
+    in N; its counters and ``guess`` come from ``recover_factors``, if it
+    ran.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
@@ -372,12 +368,8 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
         if is_probable_prime(core):
             found.add(core)
         else:
-            base, exp = perfect_power_reduce(core)
-            if exp > 1 and is_probable_prime(base):
-                found.add(base)
-            else:
-                result = recover_factors(base, r, c=c, k=k, rng=rng)
-                found.update(p for p, _ in result.factorization.pairs)
+            result = recover_factors(core, r, c=c, k=k, rng=rng)
+            found.update(p for p, _ in result.factorization.pairs)
     factorization = Factorization(
         tuple((p, _multiplicity(N, p)) for p in sorted(found)))
     return replace(result, complete=factorization.product() == N,

@@ -7,6 +7,7 @@ function.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from functools import lru_cache
@@ -15,6 +16,7 @@ __all__ = [
     "primes_up_to",
     "small_prime_divisors",
     "eta",
+    "split_two_adic",
     "is_probable_prime",
     "integer_nth_root",
     "perfect_power_reduce",
@@ -24,13 +26,21 @@ __all__ = [
 # The 13 primes <= 41: trial divisors and, below _PSI_13, strong-test bases.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Smallest strong pseudoprime to all of _SMALL_PRIMES (Sorenson & Webster
-# 2015), so below it those 13 strong tests decide primality exactly.
+# psi_k, the smallest strong pseudoprime to the first k primes, for k = 1
+# to 12 (OEIS A014233): below psi_k the strong tests to those k bases
+# decide primality exactly (Jaeschke 1993; Sorenson & Webster 2015).
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461)
+# psi_13: below it the 13 bases in _SMALL_PRIMES always suffice.
 _PSI_13 = 3317044064679887385961981
 
 # Primes per gcd in small_prime_divisors. Larger chunks save little per
 # sweep and cost more to build: 256 primes near 10^6 make ~5,000 bits.
 _CHUNK = 256
+# Chunks swept before small_prime_divisors tests what is left for
+# primality; earlier, the sweep's own p^2 > rem stop is usually cheaper.
+_CHUNKS_BEFORE_PRIME_TEST = 4
 
 
 @lru_cache(maxsize=128)
@@ -65,7 +75,9 @@ def small_prime_divisors(n: int, bound: int) -> list[int]:
 
     A gcd with the product of each chunk of primes picks the chunks to
     trial-divide. The sweep stops once the next chunk's first prime squared
-    exceeds what is left of n, which is then 1 or a prime.
+    exceeds what is left of n, which is then 1 or a prime, or, after the
+    first few chunks, once what is left is a prime below psi_13, where
+    ``is_probable_prime`` is exact.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -74,9 +86,14 @@ def small_prime_divisors(n: int, bound: int) -> list[int]:
     primes = _sieve(bound)
     found: list[int] = []
     rem = n
-    for start, product in _prime_chunks(bound):
+    tested = 0  # the last rem found not to be a prime below _PSI_13
+    for i, (start, product) in enumerate(_prime_chunks(bound)):
         if primes[start] ** 2 > rem:
             break
+        if i >= _CHUNKS_BEFORE_PRIME_TEST and rem != tested:
+            if rem < _PSI_13 and is_probable_prime(rem):
+                break
+            tested = rem
         if math.gcd(rem, product) == 1:
             continue
         for p in primes[start:start + _CHUNK]:
@@ -102,18 +119,35 @@ def eta(q: int, bound: int) -> int:
     return e
 
 
-def _strong_probable_prime(z: int, a: int) -> bool:
-    """Strong (Miller-Rabin) test of odd z > 3 to base a, 1 < a < z - 1."""
-    m = z - 1
-    s = (m & -m).bit_length() - 1
-    x = pow(a, m >> s, z)
-    if x == 1 or x == z - 1:
+def split_two_adic(v: int) -> tuple[int, int]:
+    """Write v = 2^t * o with o odd; returns (t, o)."""
+    if v < 1:
+        raise ValueError("v must be >= 1")
+    t = (v & -v).bit_length() - 1
+    return t, v >> t
+
+
+def _strong_liar(a: int, d: int, t: int, n: int) -> bool:
+    """Whether a^d = 1 or a^(2^i d) = -1 (mod n) for some 0 <= i < t.
+
+    With z - 1 = 2^t d, d odd, this is the strong test of z to base a
+    when n = z. A base that passes for z passes modulo every divisor
+    n > 2 of z, so a base failing modulo such an n is a witness for z.
+    """
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
         return True
-    for _ in range(s - 1):
-        x = x * x % z
-        if x == z - 1:
+    for _ in range(t - 1):
+        x = x * x % n
+        if x == n - 1:
             return True
     return False
+
+
+def _strong_probable_prime(z: int, a: int) -> bool:
+    """Strong (Miller-Rabin) test of odd z > 3 to base a, 1 < a < z - 1."""
+    t, d = split_two_adic(z - 1)
+    return _strong_liar(a, d, t, z)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -167,7 +201,9 @@ def is_probable_prime(z: int) -> bool:
     """Primality of z: trial division by the primes <= 41, then strong tests.
 
     Below 3,317,044,064,679,887,385,961,981 (about 3.3e24) strong tests to
-    the 13 bases <= 41 make the answer exact (Sorenson & Webster 2015).
+    the 13 bases <= 41 make the answer exact (Sorenson & Webster 2015);
+    z is tested to the first k of them, the fewest that are exact below
+    psi_k > z (2 bases below 1,373,653; Jaeschke 1993).
     From there on it is the Baillie-PSW test: a strong base-2 test, a
     perfect-square check and a strong Lucas test with Selfridge's
     parameters. No composite is known to pass it, though none is proven
@@ -179,7 +215,9 @@ def is_probable_prime(z: int) -> bool:
         if z % p == 0:
             return z == p
     if z < _PSI_13:
-        return all(_strong_probable_prime(z, a) for a in _SMALL_PRIMES)
+        t, d = split_two_adic(z - 1)
+        k = bisect.bisect_right(_PSI, z) + 1
+        return all(_strong_liar(a, d, t, z) for a in _SMALL_PRIMES[:k])
     return (_strong_probable_prime(z, 2) and math.isqrt(z) ** 2 != z
             and _strong_lucas_probable_prime(z))
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from ordersplit.ntcore import (_strong_probable_prime, is_probable_prime,
+from ordersplit.ntcore import (_strong_liar, is_probable_prime,
                                multiplicative_order, primes_up_to,
-                               small_prime_divisors)
+                               small_prime_divisors, split_two_adic)
 
 __all__ = [
     "InfeasibleParametersError",
@@ -122,6 +122,42 @@ def _odd_prime_count(bits: int) -> int:
     return count
 
 
+# The odd primes <= 2000: the gcd of a sampler candidate with their
+# product is its small-factor part (about 85% of odd candidates have one).
+_SMALL_ODD_PRIMES_PRODUCT = math.prod(primes_up_to(2000)[1:])
+_SAMPLER_ROUNDS = 64
+
+
+def _passes_strong_tests(c: int, rng: random.Random) -> bool:
+    """Whether odd c > 3 passes _SAMPLER_ROUNDS strong tests, each to a
+    fresh base rng.randrange(2, c - 1), stopping at the first witness.
+
+    The rng calls and the verdict are those of testing every drawn base
+    in full; only tests whose outcome is known in advance are skipped.
+    A base that passes for c passes modulo every divisor of c, so when
+    the small-factor part s of c is proper (1 < s < c), a base failing
+    modulo s is a witness and needs no test modulo c. Otherwise, once the
+    first base passes and ``is_probable_prime`` finds c prime, the other
+    bases are drawn untested, because a prime has no witness.
+    """
+    t, d = split_two_adic(c - 1)
+    s = math.gcd(c, _SMALL_ODD_PRIMES_PRODUCT)
+    if 1 < s < c:
+        for _ in range(_SAMPLER_ROUNDS):
+            a = rng.randrange(2, c - 1)
+            if not (_strong_liar(a, d, t, s) and _strong_liar(a, d, t, c)):
+                return False
+        return True
+    if not _strong_liar(rng.randrange(2, c - 1), d, t, c):
+        return False
+    if is_probable_prime(c):
+        for _ in range(_SAMPLER_ROUNDS - 1):
+            rng.randrange(2, c - 1)
+        return True
+    return all(_strong_liar(rng.randrange(2, c - 1), d, t, c)
+               for _ in range(_SAMPLER_ROUNDS - 1))
+
+
 def generate_instance(l: int, n: int, e_max: int,
                       rng: random.Random) -> Instance:
     """Draw an instance with n distinct odd l-bit primes and exponents
@@ -131,6 +167,16 @@ def generate_instance(l: int, n: int, e_max: int,
     with up to 64 strong tests to random bases from ``rng`` until n
     distinct primes accumulate, which samples uniformly from the odd l-bit
     primes. A composite passes with probability at most 4^-64.
+
+    Seeded instances, and every draw after them, rest on exactly these
+    draws: one base per test, stopping at the first witness. The tests
+    themselves take two shortcuts (see ``_passes_strong_tests``): a
+    candidate with a small prime factor is first tested modulo that part,
+    and a candidate that ``is_probable_prime`` finds prime has its last
+    63 bases drawn but not tested. The draws and the verdicts are those of
+    the full tests by proof for every l <= 81, below psi_13 ~ 3.3e24,
+    where ``is_probable_prime`` is exact. Above it they could differ only
+    if a Baillie-PSW pseudoprime were drawn, and none is known.
     """
     if l < 3:
         raise InfeasibleParametersError("prime bit length must be >= 3")
@@ -148,12 +194,7 @@ def generate_instance(l: int, n: int, e_max: int,
         candidate = (1 << (l - 1)) | rng.getrandbits(l - 1) | 1
         if candidate in primes:
             continue
-        # A fresh random base per strong test, stopping at the first
-        # witness: seeded instances, and every draw after them, depend on
-        # exactly this use of rng, so the sampler keeps it.
-        if all(_strong_probable_prime(candidate,
-                                      rng.randrange(2, candidate - 1))
-               for _ in range(64)):
+        if _passes_strong_tests(candidate, rng):
             primes.append(candidate)
     exponents = [rng.randint(1, e_max) for _ in range(n)]
     return Instance.from_parts(primes, exponents)

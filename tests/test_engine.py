@@ -474,6 +474,21 @@ class TestFactorWithOrder:
         assert outcome.guess == guess_multiple(
             self.R, (self.P * self.Q).bit_length())
 
+    def test_each_value_is_reduced_once(self, monkeypatch):
+        reduced = []
+
+        def recording(z):
+            reduced.append(z)
+            return perfect_power_reduce(z)
+
+        monkeypatch.setattr(engine, "perfect_power_reduce", recording)
+        n = self.P * self.Q
+        outcome = factor_with_order(n, self.R, rng=random.Random(0))
+        assert outcome.complete
+        # N, then the split-off divisor d and N / d, each once
+        assert len(reduced) == 3 and reduced[0] == n
+        assert sorted(reduced[1:]) == [self.P, self.Q]
+
     def test_domain(self):
         with pytest.raises(ValueError):
             factor_with_order(2, 1)

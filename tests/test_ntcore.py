@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import brute_force_order, naive_sieve
+from ordersplit import ntcore
 from ordersplit.ntcore import (
     _CHUNK,
     _sieve,
@@ -94,6 +95,35 @@ class TestSmallPrimeDivisors:
             assert small_prime_divisors(n, 10**6) == \
                 _divisors_by_trial_division(n, 10**6)
 
+    def test_sweep_stops_at_a_prime_below_psi_13(self, monkeypatch):
+        # what is left is tested only from the fifth chunk on, so only past
+        # primes[4 * _CHUNK]^2 ~ 6.7e7: above a bound of 10^6, every prime
+        # that stops the sweep lies outside the bound
+        primes = primes_up_to(10**6)
+        late = primes[5 * _CHUNK]  # in a chunk swept after the first test
+        big = next(z for z in range(10**12 + 1, 10**13, 2)
+                   if is_probable_prime(z))
+        tested = []
+
+        def recording(z):
+            tested.append((z, is_probable_prime(z)))
+            return tested[-1][1]
+
+        monkeypatch.setattr(ntcore, "is_probable_prime", recording)
+        cases = (
+            (2 * 3 * big, [big]),          # a prime in (bound, psi_13) left
+            (3 * late * big, [big]),       # ... once late splits off
+            (7 * late * primes[-1] * big, []),  # composite to the last chunk
+            (2 * 5**3 * late, []),         # the p^2 > rem stop comes first
+            (7 * (2**89 - 1), []),         # a prime >= psi_13 is not tested
+        )
+        for n, stops in cases:
+            tested.clear()
+            assert small_prime_divisors(n, 10**6) == \
+                _divisors_by_trial_division(n, 10**6)
+            assert [z for z, prime in tested if prime] == stops, n
+            assert all(z < PSI_13 for z, _ in tested)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             small_prime_divisors(0, 10)
@@ -123,6 +153,22 @@ class TestEta:
 
 
 PSI_13 = 3317044064679887385961981  # strong pseudoprime to all bases <= 41
+# psi_k, the smallest strong pseudoprime to the first k primes (A014233)
+PSI_1_TO_13 = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+               3474749660383, 341550071728321, 341550071728321,
+               3825123056546413051, 3825123056546413051,
+               3825123056546413051, 318665857834031151167461, PSI_13)
+BASES_UP_TO_41 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _by_all_13_bases(z):
+    """Primality below PSI_13 by strong tests to all 13 bases <= 41."""
+    if z < 2:
+        return False
+    for p in BASES_UP_TO_41:
+        if z % p == 0:
+            return z == p
+    return all(_strong_probable_prime(z, a) for a in BASES_UP_TO_41)
 
 
 class TestIsProbablePrime:
@@ -152,6 +198,22 @@ class TestIsProbablePrime:
         for z in (2047, 3215031751, 3825123056546413051,
                   5459, 5777, 10877, 16109, 18971):
             assert not is_probable_prime(z), z
+
+    def test_every_psi_k_is_rejected(self):
+        # psi_k fools the first k prime bases, so it needs base k + 1
+        for z in PSI_1_TO_13:
+            assert not is_probable_prime(z), z
+
+    def test_fewer_bases_agree_with_all_13(self):
+        rng = random.Random(14)
+        near_psi = {z for psi in PSI_1_TO_13
+                    for z in range(psi - 1000 | 1, psi + 1000, 2)}
+        bits = (rng.randrange(2, PSI_13.bit_length()) for _ in range(12000))
+        odd = {rng.getrandbits(b) | 1 for b in bits}
+        candidates = sorted(z for z in near_psi | odd if z < PSI_13)
+        assert len(candidates) >= 20000
+        for z in candidates:
+            assert is_probable_prime(z) == _by_all_13_bases(z), z
 
     def test_psi_12_and_psi_13_are_rejected(self):
         # psi_12 fools the bases up to 37 and falls to 41; psi_13 fools all

@@ -6,12 +6,13 @@ import pytest
 
 from conftest import brute_force_order, trial_division_factorization
 from ordersplit.harness import _trial_rng
-from ordersplit.ntcore import _sieve, primes_up_to
+from ordersplit.ntcore import _sieve, _strong_probable_prime, primes_up_to
 from ordersplit.oracle import (
     InfeasibleParametersError,
     Instance,
     _crt,
     _factor_completely,
+    _passes_strong_tests,
     _reduce_component_order,
     exact_order,
     generate_instance,
@@ -103,15 +104,92 @@ class TestGenerateInstance:
         # Seeded instances, and the acceptance criteria's fixed seeds, rest
         # on exactly these draws; a change to how the sampler uses rng
         # fails here first.
-        inst = generate_instance(16, 3, 2, random.Random(1))
+        rng = random.Random(1)
+        inst = generate_instance(16, 3, 2, rng)
         assert inst.primes == (37171, 56957, 39317)
         assert inst.exponents == (1, 1, 2)
-        inst = generate_instance(64, 3, 1, random.Random(2))
+        assert rng.random() == 0.7046056278520025
+        rng = random.Random(2)
+        inst = generate_instance(64, 3, 1, rng)
         assert inst.primes == (17853789038713974721, 16830325204401868543,
                                10701286004744145791)
+        assert rng.random() == 0.40416338946274066
         # the first trial of criterion 3 (the Shor baseline)
         rng = _trial_rng(20260809 + 2, ("shor-baseline", 16), 0)
         assert generate_instance(16, 2, 1, rng).primes == (45337, 59447)
+        assert rng.random() == 0.6439323729680146
+
+    def test_same_draws_as_the_full_test_loop(self):
+        for l, n, e_max, seeds in ((16, 5, 2, range(500)),
+                                   (64, 3, 1, range(100))):
+            for seed in seeds:
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                assert generate_instance(l, n, e_max, rng) == \
+                    _generate_by_full_tests(l, n, e_max, ref_rng), (l, seed)
+                assert rng.getstate() == ref_rng.getstate(), (l, seed)
+
+
+def _generate_by_full_tests(l, n, e_max, rng):
+    """generate_instance as it was before its strong tests took shortcuts:
+    every drawn base is tested in full."""
+    primes = []
+    while len(primes) < n:
+        candidate = (1 << (l - 1)) | rng.getrandbits(l - 1) | 1
+        if candidate in primes:
+            continue
+        if all(_strong_probable_prime(candidate,
+                                      rng.randrange(2, candidate - 1))
+               for _ in range(64)):
+            primes.append(candidate)
+    exponents = [rng.randint(1, e_max) for _ in range(n)]
+    return Instance.from_parts(primes, exponents)
+
+
+class _ScriptedRng:
+    """Returns the scripted bases from randrange and records its calls."""
+
+    def __init__(self, bases):
+        self.bases, self.calls = list(bases), []
+
+    def randrange(self, start, stop):
+        self.calls.append((start, stop))
+        return self.bases.pop(0)
+
+
+class TestPassesStrongTests:
+    def test_small_factor_check_passes_and_the_full_test_runs(self):
+        # 6025 = 5^2 * 241 has small-factor part s = 1205: 418 is a strong
+        # liar for 6025, and 177 passes modulo 1205 but is a witness for
+        # 6025. For 6241 = 79^2 (s = 79), 31 is a liar and 2 such a base.
+        for c, liar, hidden_witness in ((6025, 418, 177), (6241, 31, 2)):
+            rng = _ScriptedRng([liar, hidden_witness])
+            assert not _passes_strong_tests(c, rng)
+            assert rng.calls == [(2, c - 1)] * 2
+
+    def test_a_base_failing_modulo_the_small_factor_is_a_witness(self):
+        rng = _ScriptedRng([418, 2])  # 2 fails the test modulo 1205
+        assert not _strong_probable_prime(6025, 2)
+        assert not _passes_strong_tests(6025, rng)
+        assert len(rng.calls) == 2
+
+    def test_all_liars_draw_64_bases(self):
+        rng = _ScriptedRng([418] * 64)
+        assert _passes_strong_tests(6025, rng)
+        assert rng.calls == [(2, 6024)] * 64
+
+    def test_a_prime_draws_64_bases(self):
+        for c in (5, 7, 1999, 6007, 2**61 - 1):  # s = c, then s = 1
+            rng = _ScriptedRng([3] * 64)
+            assert _passes_strong_tests(c, rng)
+            assert rng.calls == [(2, c - 1)] * 64
+
+    def test_composites_without_a_proper_small_factor(self):
+        # 2047 = 23 * 89 (s = c) is a strong pseudoprime to base 2, and
+        # 2011 * 2251 (s = 1) to base 2216: the later bases must be tested
+        for c, liar in ((2047, 2), (2011 * 2251, 2216)):
+            rng = _ScriptedRng([liar, liar, 3])
+            assert not _passes_strong_tests(c, rng)
+            assert len(rng.calls) == 3
 
 
 class TestSampleUnit:
