@@ -4,9 +4,11 @@ Given the order r of a single random unit, the recovery procedure grows r
 into r' by multiplying on every prime power up to a smoothness bound m' =
 c * bitlen(N), splits r' = 2^t * o with o odd, and then repeatedly draws
 random units x, walking the squaring chain x^o, x^(2o), ..., x^(2^t o) and
-taking gcds of (chain value - 1) with the not-yet-factored part of N. Each
-nontrivial gcd refines a set of pairwise coprime factors until the set
-consists of primes whose powers reconstruct N.
+taking gcds of (chain value - 1) with the not-yet-factored part of N. That
+part is kept as one coprime piece per composite factor found so far, and
+each piece gets its own chain, so ``gcd_calls`` counts one gcd per piece
+per chain step. Each nontrivial gcd refines a set of pairwise coprime
+factors until the set consists of primes whose powers reconstruct N.
 
 The classic split gcd(g^(r/2) +- 1, N) is included as a baseline, together
 with the iteration-count rule and the theoretical failure bound used by the
@@ -186,9 +188,23 @@ class FactorSet:
     def entries(self) -> tuple[tuple[int, bool], ...]:
         return tuple(sorted(self._values.items()))
 
-    def unresolved_cofactor(self) -> int:
-        """Target with all confirmed prime factors (full multiplicity) removed."""
-        return self.target // self.factorization.product()
+    def unresolved_parts(self) -> tuple[int, ...]:
+        """The full part of the target for each composite entry.
+
+        A part is the entry's primes, each to its full multiplicity in the
+        target. The parts are pairwise coprime, and they multiply to the
+        target with the prime entries' full powers divided off.
+        """
+        parts = []
+        for w, prime in self._values.items():
+            if prime:
+                continue
+            part, rest, g = w, self.target // w, w
+            while (g := math.gcd(rest, g)) > 1:
+                part *= g
+                rest //= g
+            parts.append(part)
+        return tuple(parts)
 
     def __repr__(self) -> str:
         return (f"FactorSet(target={self.target}, entries={self.entries}, "
@@ -220,17 +236,24 @@ def default_iteration_cap(m: int) -> int:
     return 64 * _ceil_log2(m)
 
 
+class _PrimeInputError(ValueError):
+    """recover_factors was given a prime N; factor_with_order catches it."""
+
+
 def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
-                    rng: random.Random | None = None,
-                    use_reduced_modulus: bool = True) -> RecoveryResult:
+                    rng: random.Random | None = None) -> RecoveryResult:
     """Completely factor odd composite N given a multiple r of a unit's order.
 
     Runs the grown-exponent squaring-chain procedure: with r' = 2^t * o from
     ``guess_multiple``, each iteration draws x uniformly from the units mod N
-    (excluding 1), computes u_0 = x^o and u_i = u_{i-1}^2 modulo N', and
-    feeds every nontrivial gcd(u_i - 1, N') into the factor set. N' is N
-    with already-confirmed prime factors divided off (full multiplicity);
-    pass ``use_reduced_modulus=False`` to keep all arithmetic modulo N.
+    (excluding 1) and walks one chain per composite entry w of the factor
+    set, modulo w's full part M of N (its primes to their full
+    multiplicity): u_0 = x^o and u_i = u_{i-1}^2 mod M, feeding every
+    nontrivial gcd(u_i - 1, M) into the factor set. The parts are pairwise
+    coprime and multiply to N with the confirmed prime powers divided off,
+    so by the CRT each gcd is the part-M component of the gcd a single
+    chain modulo their product would give, at a fraction of its modexp
+    cost. ``gcd_calls`` counts one gcd per entry per chain step.
     Non-unit draws with a nontrivial gcd are exploited as free factors.
 
     With ``k`` fixed, up to k iterations run; with k=None the loop runs
@@ -250,7 +273,7 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
                          "factors first")
     fs = FactorSet(N, entries=(N,))
     if fs.factorization.pairs == ((N, 1),):
-        raise ValueError("N is prime; nothing to factor")
+        raise _PrimeInputError("N is prime; nothing to factor")
     if r < 1:
         raise ValueError("r must be >= 1")
     if k is not None and k < 1:
@@ -267,25 +290,21 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
             break
         iterations += 1
         x = sample_unit(N, rng, exclude_one=True, on_factor=fs.add_factor)
-        if fs.complete:
-            break
-        modulus = fs.unresolved_cofactor() if use_reduced_modulus else N
-        if modulus == 1:
-            break
-        u = pow(x % modulus, o, modulus)
-        for i in range(t + 1):
-            if u == 1:
-                break  # the chain stays 1; gcd would be the full modulus
-            d = math.gcd(u - 1, modulus)
-            gcd_calls += 1
-            if 1 < d < modulus:
-                fs.add_factor(d)
-                if fs.complete:
-                    break
-            if i < t:
-                u = u * u % modulus
-        if fs.complete:
-            break
+        for modulus in fs.unresolved_parts():
+            if fs.complete:
+                break
+            u = pow(x % modulus, o, modulus)
+            for i in range(t + 1):
+                if u == 1:
+                    break  # the chain stays 1; gcd would be the full modulus
+                d = math.gcd(u - 1, modulus)
+                gcd_calls += 1
+                if 1 < d < modulus:
+                    fs.add_factor(d)
+                    if fs.complete:
+                        break
+                if i < t:
+                    u = u * u % modulus
     return RecoveryResult(fs.complete, fs.factorization, iterations,
                           gcd_calls, guess)
 
@@ -345,12 +364,13 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
     """Factor any N >= 3 given a multiple r of the order of a unit mod N.
 
     Pre-processing strips primes up to ``TRIAL_DIVISION_BOUND`` by trial
-    division; a prime core is then done, and any other core goes to
-    ``recover_factors``, which resolves a prime power with no iteration.
-    The order of any unit modulo a divisor of N divides r, so r stays valid
-    for the core. The result lists every prime found with its multiplicity
-    in N; its counters and ``guess`` come from ``recover_factors``, if it
-    ran.
+    division, and the core left goes to ``recover_factors``, whose factor
+    set gives the one primality verdict on it: a prime core is then done,
+    and a prime power resolves with no iteration. The order of any unit
+    modulo a divisor of N divides r, so r stays valid for the core. The
+    result lists every prime found with its multiplicity in N; its counters
+    and ``guess`` come from ``recover_factors``, if it ran on a composite
+    core.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
@@ -365,10 +385,11 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
             core //= p
     result = RecoveryResult(False, Factorization(()), 0, 0, None)
     if core > 1:
-        if is_probable_prime(core):
+        try:
+            result = recover_factors(core, r, c=c, k=k, rng=rng)
+        except _PrimeInputError:
             found.add(core)
         else:
-            result = recover_factors(core, r, c=c, k=k, rng=rng)
             found.update(p for p, _ in result.factorization.pairs)
     factorization = Factorization(
         tuple((p, _multiplicity(N, p)) for p in sorted(found)))

@@ -239,13 +239,42 @@ def integer_nth_root(x: int, n: int) -> int:
         r = nr
 
 
+@lru_cache(maxsize=None)
+def _power_residue_moduli(d: int) -> tuple[tuple[int, int], ...]:
+    """The first four primes q = 1 (mod d), each with (q - 1) // d.
+
+    One entry per prime d below the largest bit length reduced so far.
+    """
+    moduli = []
+    q = 1
+    while len(moduli) < 4:
+        q += d
+        if is_probable_prime(q):
+            moduli.append((q, (q - 1) // d))
+    return tuple(moduli)
+
+
+def _may_be_power(z: int, d: int) -> bool:
+    """False when a prime q = 1 (mod d) shows that z is no d-th power.
+
+    A d-th power is 0 or a d-th power residue modulo q, and the residues
+    are exactly the a with a^((q-1)/d) = 1 (mod q).
+    """
+    for q, e in _power_residue_moduli(d):
+        a = z % q
+        if a and pow(a, e, q) != 1:
+            return False
+    return True
+
+
 def perfect_power_reduce(z: int) -> tuple[int, int]:
     """Reduce z to (base, exp) with base**exp == z and base not a power.
 
     exp == 1 iff z is not a perfect power. Only prime exponents d are
-    probed (z = y^(d1*d2) is also a d1-th power), each by an exact integer
-    d-th root, and the reduction is repeated until the base is not itself
-    a power.
+    probed (z = y^(d1*d2) is also a d1-th power). A residue sieve modulo
+    four primes q = 1 (mod d) rules out most d (Bach & Sorenson 1993;
+    Bernstein 1998); each d it leaves gets an exact integer d-th root, and
+    the reduction is repeated until the base is not itself a power.
     """
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")
@@ -254,6 +283,8 @@ def perfect_power_reduce(z: int) -> tuple[int, int]:
     while reduced:
         reduced = False
         for d in primes_up_to(base.bit_length() - 1):
+            if not _may_be_power(base, d):
+                continue
             root = integer_nth_root(base, d)
             if root**d == base:
                 base, exp = root, exp * d

@@ -19,7 +19,7 @@ from ordersplit.engine import (
     theoretical_failure_bound,
 )
 from ordersplit.ntcore import eta, is_probable_prime, perfect_power_reduce, primes_up_to
-from ordersplit.oracle import exact_order, generate_instance, sample_unit
+from ordersplit.oracle import Instance, exact_order, generate_instance, sample_unit
 
 
 def _phi_factored_order(g, n):
@@ -163,13 +163,18 @@ class TestFactorSet:
         assert not fs.add_factor(45)
         assert fs.entries == ((15, False),)
 
-    def test_unresolved_cofactor(self):
-        fs = FactorSet(105, entries=(105,))
-        assert fs.unresolved_cofactor() == 105
-        fs.add_factor(7)
-        assert fs.unresolved_cofactor() == 15
+    def test_unresolved_parts(self):
+        target = 21**2 * 143
+        fs = FactorSet(target, entries=(target,))
+        assert fs.unresolved_parts() == (target,)
+        fs.add_factor(21)
+        assert fs.entries == ((21, False), (143, False))
+        assert sorted(fs.unresolved_parts()) == [143, 441]  # 3^2 * 7^2
+        fs.add_factor(11)
+        assert fs.unresolved_parts() == (441,)
         fs.add_factor(3)
-        assert fs.unresolved_cofactor() == 1
+        assert fs.complete
+        assert fs.unresolved_parts() == ()
 
     def test_random_insert_sequences_keep_invariants(self):
         rng = random.Random(4)
@@ -223,6 +228,40 @@ class TestFactorization:
         with pytest.raises(ValueError):
             Factorization(((3, 0),))
         assert Factorization(((3, 2), (5, 1))).product() == 45
+
+
+def _product_modulus_reference(N, r, *, k, rng):
+    """recover_factors with one chain per iteration modulo the product of
+    all unresolved parts: N over its confirmed prime powers. Returns
+    (complete, factorization, iterations)."""
+    fs = FactorSet(N, entries=(N,))
+    m = N.bit_length()
+    guess = guess_multiple(r, m)
+    t, o = guess.t, guess.o
+    budget = k if k is not None else engine.default_iteration_cap(m)
+    iterations = 0
+    for _ in range(budget):
+        if fs.complete:
+            break
+        iterations += 1
+        x = sample_unit(N, rng, exclude_one=True, on_factor=fs.add_factor)
+        if fs.complete:
+            break
+        modulus = N // fs.factorization.product()
+        u = pow(x % modulus, o, modulus)
+        for i in range(t + 1):
+            if u == 1:
+                break
+            d = math.gcd(u - 1, modulus)
+            if 1 < d < modulus:
+                fs.add_factor(d)
+                if fs.complete:
+                    break
+            if i < t:
+                u = u * u % modulus
+        if fs.complete:
+            break
+    return fs.complete, fs.factorization, iterations
 
 
 class TestRecoverFactors:
@@ -289,20 +328,33 @@ class TestRecoverFactors:
             expected = tuple(sorted(trial_division_factorization(n).items()))
             assert result.factorization.pairs == expected, n
 
-    def test_reduced_modulus_equivalence(self):
-        rng_master = random.Random(7)
-        for _ in range(40):
-            inst = generate_instance(10, rng_master.choice((2, 3)),
-                                     rng_master.choice((1, 2)), rng_master)
-            g = sample_unit(inst.modulus, rng_master, exclude_one=True)
+    def test_matches_product_modulus_reference(self):
+        master = random.Random(7)
+        cases = [generate_instance(master.choice((8, 10, 12)),
+                                   master.choice((2, 4, 6)),
+                                   master.choice((1, 2, 3)), master)
+                 for _ in range(400)]
+        # cores that are powers of composites, or close to them
+        for exponents in ((2, 2), (3, 3), (2, 2, 1), (2, 2, 2), (1, 3, 3)):
+            for _ in range(8):
+                primes = generate_instance(10, len(exponents), 1, master).primes
+                cases.append(Instance.from_parts(primes, exponents))
+        incomplete = 0
+        for inst in cases:
+            g = sample_unit(inst.modulus, master, exclude_one=True)
             r = exact_order(inst, g).order
-            seed = rng_master.randrange(2**32)
-            on = recover_factors(inst.modulus, r, rng=random.Random(seed),
-                                 use_reduced_modulus=True)
-            off = recover_factors(inst.modulus, r, rng=random.Random(seed),
-                                  use_reduced_modulus=False)
-            assert on.complete and off.complete
-            assert on.factorization == off.factorization
+            # r = 1 covers only the primes p with p - 1 smooth: partial splits
+            r, k = master.choice(((r, None), (r, 1), (1, None), (1, 3)))
+            seed = master.randrange(2**32)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            result = recover_factors(inst.modulus, r, k=k, rng=ours)
+            expected = _product_modulus_reference(inst.modulus, r, k=k,
+                                                  rng=theirs)
+            assert (result.complete, result.factorization,
+                    result.iterations) == expected, inst
+            assert ours.getstate() == theirs.getstate()
+            incomplete += not result.complete
+        assert 0 < incomplete < len(cases)
 
     def test_incomplete_run_lists_true_prime_powers(self):
         rng = random.Random(3)
@@ -430,9 +482,28 @@ class TestFactorWithOrder:
         assert outcome.iterations == 0
 
     def test_prime_input(self):
-        outcome = factor_with_order(101, 1, rng=random.Random(3))
+        # 101 falls to trial division; the others are prime cores
+        for p in (101, self.P, 2**127 - 1):
+            outcome = factor_with_order(p, 1, rng=random.Random(3))
+            assert outcome.complete
+            assert outcome.factorization.pairs == ((p, 1),)
+            assert (outcome.iterations, outcome.guess) == (0, None)
+
+    def test_core_gets_one_primality_verdict(self, monkeypatch):
+        tested = []
+
+        def recording(z):
+            tested.append(z)
+            return is_probable_prime(z)
+
+        monkeypatch.setattr(engine, "is_probable_prime", recording)
+        n = self.P * self.Q
+        outcome = factor_with_order(3 * n, self.R, rng=random.Random(0))
         assert outcome.complete
-        assert outcome.factorization.pairs == ((101, 1),)
+        assert tested[0] == n and sorted(tested[1:]) == [self.P, self.Q]
+        tested.clear()
+        assert factor_with_order(3 * self.P, 1).complete
+        assert tested == [self.P]
 
     def test_composite_power_of_composite(self):
         # (PQ)^2: power reduction to PQ, engine splits P * Q,

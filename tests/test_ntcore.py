@@ -281,6 +281,22 @@ class TestIntegerNthRoot:
             integer_nth_root(5, 0)
 
 
+def _newton_only_reduce(z):
+    """perfect_power_reduce without the residue sieve: an exact root for
+    every prime exponent below the bit length."""
+    base, exp = z, 1
+    reduced = True
+    while reduced:
+        reduced = False
+        for d in primes_up_to(base.bit_length() - 1):
+            root = integer_nth_root(base, d)
+            if root**d == base:
+                base, exp = root, exp * d
+                reduced = True
+                break
+    return base, exp
+
+
 class TestPerfectPowerReduce:
     def test_known_values(self):
         assert perfect_power_reduce(27) == (3, 3)
@@ -318,6 +334,51 @@ class TestPerfectPowerReduce:
             perfect_power_reduce(1)
         with pytest.raises(ValueError):
             perfect_power_reduce(0)
+
+    def test_agrees_with_newton_only_reference_on_random_z(self):
+        rng = random.Random(14)
+        for _ in range(2000):
+            bits = round(2 ** rng.uniform(1, 11))  # log-uniform, 2 to 2048
+            z = rng.randrange(max(2, 1 << (bits - 1)), 1 << bits)
+            assert perfect_power_reduce(z) == _newton_only_reduce(z), z
+
+    def test_agrees_with_newton_only_reference_on_powers(self):
+        rng = random.Random(15)
+        primes = []
+        while len(primes) < 4:
+            q = rng.randrange(3, 1 << 40)
+            if is_probable_prime(q):
+                primes.append(q)
+        composites = [3 * 5, 2**3 * 7, 101 * 103 * 107, primes[0] * primes[1],
+                      primes[2]**2 * primes[3]]
+        for y in primes + composites:
+            for k in (2, 3, 5, 6, 7, 12, 35, 101):
+                assert perfect_power_reduce(y**k) == (y, k), (y, k)
+                assert _newton_only_reduce(y**k) == (y, k), (y, k)
+        for y in (2, 3):
+            for k in range(1, 300):
+                assert perfect_power_reduce(y**k) == (y, k), (y, k)
+
+    def test_powers_divisible_by_their_sieve_primes(self):
+        # 3, 5, 7 are sieve primes for d = 2; 7, 13 for d = 3; 11, 31
+        # for d = 5: z = 0 modulo them must not rule the exponent out
+        for y, k in ((3 * 5 * 7, 2), (7 * 13, 3), (11 * 31, 5),
+                     (3 * 5 * 7 * 11, 2), (7 * 13 * 19 * 31, 3)):
+            q_moduli = {q for q, _ in ntcore._power_residue_moduli(k)}
+            assert any(y % q == 0 for q in q_moduli)
+            assert perfect_power_reduce(y**k) == (y, k)
+            assert perfect_power_reduce(y**(k * 7)) == (y, k * 7)
+
+    def test_sieve_moduli_are_the_first_primes_one_mod_d(self):
+        perfect_power_reduce(3**2047)  # fills the cache for every d < 2048
+        sieve = set(_sieve(10**6))
+        for d in primes_up_to(2047):
+            moduli = ntcore._power_residue_moduli(d)
+            qs = [q for q, _ in moduli]
+            assert len(qs) == 4
+            assert all(q in sieve and q % d == 1 for q in qs), d
+            assert [e for _, e in moduli] == [(q - 1) // d for q in qs]
+            assert qs == [q for q in range(d + 1, qs[-1] + 1, d) if q in sieve]
 
 
 class TestMultiplicativeOrder:
