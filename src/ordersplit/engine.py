@@ -124,25 +124,29 @@ class FactorSet:
     """A set of nontrivial, pairwise coprime divisors of a target N.
 
     Insertions are refined by iterated gcd splitting until pairwise
-    coprimality is restored; every entry is reduced to a non-power base and
-    gets its ``is_probable_prime`` verdict once, when it is inserted. After
-    every change ``factorization`` lists the prime entries with their full
-    multiplicities in N, and ``complete`` holds when those prime powers
-    multiply back to N.
+    coprimality is restored; every entry is reduced to a non-power base.
+    Each entry gets its one ``is_probable_prime`` verdict when a reader
+    (``entries``, ``factorization``, ``complete`` or ``unresolved_parts``)
+    first needs it, so an entry split again before then is never tested.
+    ``factorization`` lists the prime entries with their full
+    multiplicities in N, computed on read and kept until the next
+    insertion, and ``complete`` holds when those prime powers multiply back
+    to N.
     """
 
     def __init__(self, target: int, *, entries=()):
         if target < 2:
             raise ValueError("target must be >= 2")
         self.target = target
-        self._values: dict[int, bool] = {}  # entry -> primality verdict
+        self._values: dict[int, bool | None] = {}  # None: not yet tested
+        self._factorization: Factorization | None = None
         for v in entries:
             self._insert(v)
-        self._refresh()
 
     def _insert(self, value: int) -> None:
         if not 1 < value <= self.target or self.target % value != 0:
             raise ValueError(f"{value} is not a nontrivial divisor of {self.target}")
+        self._factorization = None
         work = [value]
         bases: set[int] = set()  # reduced here already: not perfect powers
         while work:
@@ -163,13 +167,25 @@ class FactorSet:
                     work.append(x // g)
                     break
             else:
-                self._values[x] = is_probable_prime(x)
+                self._values[x] = None
 
-    def _refresh(self) -> None:
-        primes = sorted(v for v, prime in self._values.items() if prime)
-        self.factorization = Factorization(
-            tuple((p, _multiplicity(self.target, p)) for p in primes))
-        self.complete = self.factorization.product() == self.target
+    def _verdicts(self) -> dict[int, bool]:
+        for v, prime in self._values.items():
+            if prime is None:
+                self._values[v] = is_probable_prime(v)
+        return self._values
+
+    @property
+    def factorization(self) -> Factorization:
+        if self._factorization is None:
+            primes = sorted(v for v, prime in self._verdicts().items() if prime)
+            self._factorization = Factorization(
+                tuple((p, _multiplicity(self.target, p)) for p in primes))
+        return self._factorization
+
+    @property
+    def complete(self) -> bool:
+        return self.factorization.product() == self.target
 
     def add_factor(self, d: int) -> bool:
         """Merge a nontrivial divisor d of the target into the set.
@@ -181,12 +197,11 @@ class FactorSet:
                          d, self.target)
             return False
         self._insert(d)
-        self._refresh()
         return True
 
     @property
     def entries(self) -> tuple[tuple[int, bool], ...]:
-        return tuple(sorted(self._values.items()))
+        return tuple(sorted(self._verdicts().items()))
 
     def unresolved_parts(self) -> tuple[int, ...]:
         """The full part of the target for each composite entry.
@@ -196,7 +211,7 @@ class FactorSet:
         target with the prime entries' full powers divided off.
         """
         parts = []
-        for w, prime in self._values.items():
+        for w, prime in self._verdicts().items():
             if prime:
                 continue
             part, rest, g = w, self.target // w, w
@@ -259,12 +274,17 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     With ``k`` fixed, up to k iterations run; with k=None the loop runs
     until the factorization is complete, capped at
     ``default_iteration_cap(bitlen(N))`` to guarantee termination when r'
-    misses the needed structure for two or more primes. The result carries
-    the prime powers found, complete or not, and the grown exponent.
+    misses the needed structure for two or more primes. Completeness is
+    read only between iterations, so every chain of an iteration runs to
+    its end; pieces a chain splits again are never tested for primality.
+    The result carries the prime powers found, complete or not, and the
+    grown exponent.
 
-    A prime N raises ValueError; the factor set's verdict on N, from
-    ``is_probable_prime``, decides it. A prime power resolves with no
-    iteration. ``rng`` drives only the draws of units.
+    N itself gets its ``is_probable_prime`` verdict only if the first
+    iteration leaves it whole: a split proves N composite at no cost. A
+    prime N then raises ValueError, one draw and one chain later. A proper
+    power's base is tested before any draw, so a prime power resolves with
+    no iteration. ``rng`` drives only the draws of units.
     """
     if rng is None:
         rng = random.Random()
@@ -272,8 +292,6 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
         raise ValueError("N must be an odd composite >= 9; strip small "
                          "factors first")
     fs = FactorSet(N, entries=(N,))
-    if fs.factorization.pairs == ((N, 1),):
-        raise _PrimeInputError("N is prime; nothing to factor")
     if r < 1:
         raise ValueError("r must be >= 1")
     if k is not None and k < 1:
@@ -285,14 +303,14 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
 
     iterations = 0
     gcd_calls = 0
-    for _ in range(budget):
-        if fs.complete:
+    while iterations < budget:
+        # the set is read only here; N itself waits for the first chain
+        if (iterations or N not in fs._values) and fs.complete:
             break
         iterations += 1
         x = sample_unit(N, rng, exclude_one=True, on_factor=fs.add_factor)
-        for modulus in fs.unresolved_parts():
-            if fs.complete:
-                break
+        parts = (N,) if N in fs._values else fs.unresolved_parts()
+        for modulus in parts:
             u = pow(x % modulus, o, modulus)
             for i in range(t + 1):
                 if u == 1:
@@ -301,10 +319,10 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
                 gcd_calls += 1
                 if 1 < d < modulus:
                     fs.add_factor(d)
-                    if fs.complete:
-                        break
                 if i < t:
                     u = u * u % modulus
+    if fs.factorization.pairs == ((N, 1),):
+        raise _PrimeInputError("N is prime; nothing to factor")
     return RecoveryResult(fs.complete, fs.factorization, iterations,
                           gcd_calls, guess)
 
@@ -365,8 +383,9 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
 
     Pre-processing strips primes up to ``TRIAL_DIVISION_BOUND`` by trial
     division, and the core left goes to ``recover_factors``, whose factor
-    set gives the one primality verdict on it: a prime core is then done,
-    and a prime power resolves with no iteration. The order of any unit
+    set gives the one primality verdict on it, after the first chain if
+    that chain leaves it whole: a prime core is then done, and a prime
+    power resolves with no iteration. The order of any unit
     modulo a divisor of N divides r, so r stays valid for the core. The
     result lists every prime found with its multiplicity in N; its counters
     and ``guess`` come from ``recover_factors``, if it ran on a composite

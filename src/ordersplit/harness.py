@@ -60,6 +60,14 @@ CSV_COLUMNS = [
 ]
 
 
+_GRID_FIELDS = ("l_values", "n_values", "emax_values")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid definition plus the shared algorithm parameters."""
@@ -75,6 +83,15 @@ class ExperimentConfig:
     order_mode: str = "simulate"  # "exact" | "simulate"
 
     def __post_init__(self):
+        for key in _GRID_FIELDS:
+            values = getattr(self, key)
+            if not isinstance(values, tuple) or not all(map(_is_int, values)):
+                raise ValueError(f"{key} must be a list of integers, "
+                                 f"got {values!r}")
+        for key in ("c", "k", "B_s", "trials_per_cell", "seed"):
+            value = getattr(self, key)
+            if not (_is_int(value) or key == "k" and value is None):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
         if self.c < 1:
@@ -92,19 +109,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object, "
+                             f"got {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         data = dict(data)
-        for key in ("l_values", "n_values", "emax_values"):
-            if key in data:
-                data[key] = tuple(int(v) for v in data[key])
+        for key in _GRID_FIELDS:
+            if isinstance(data.get(key), list):
+                data[key] = tuple(data[key])
         return cls(**data)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        for key in ("l_values", "n_values", "emax_values"):
+        for key in _GRID_FIELDS:
             out[key] = list(out[key])
         return out
 

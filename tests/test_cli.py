@@ -220,6 +220,34 @@ class TestExperimentCommand:
                              str(config_path))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("field, value", [
+        ("B_s", 1e6),
+        ("c", 1.5),
+        ("trials_per_cell", 2.0),
+        ("l_values", "16"),
+        ("l_values", [8.7]),
+        ("k", True),
+    ])
+    def test_mistyped_numeric_field(self, capsys, tmp_path, field, value):
+        config = {"l_values": [8], "n_values": [2], "emax_values": [1],
+                  "trials_per_cell": 2, "B_s": 1000, field: value}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config",
+                                 str(config_path), "--out",
+                                 str(tmp_path / "out"))
+        assert code == EXIT_USAGE
+        assert field in err and "Traceback" not in err
+        assert out == ""
+
+    def test_config_not_an_object(self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps([1, 2]))
+        code, _, err = run_cli(capsys, "experiment", "--config",
+                               str(config_path))
+        assert code == EXIT_USAGE
+        assert "JSON object" in err
+
 
 class TestBaselineCommand:
     def test_baseline_reports_fraction(self, capsys):

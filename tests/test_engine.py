@@ -19,7 +19,13 @@ from ordersplit.engine import (
     theoretical_failure_bound,
 )
 from ordersplit.ntcore import eta, is_probable_prime, perfect_power_reduce, primes_up_to
-from ordersplit.oracle import Instance, exact_order, generate_instance, sample_unit
+from ordersplit.oracle import (
+    Instance,
+    exact_order,
+    generate_instance,
+    sample_unit,
+    simulate_order,
+)
 
 
 def _phi_factored_order(g, n):
@@ -500,7 +506,7 @@ class TestFactorWithOrder:
         n = self.P * self.Q
         outcome = factor_with_order(3 * n, self.R, rng=random.Random(0))
         assert outcome.complete
-        assert tested[0] == n and sorted(tested[1:]) == [self.P, self.Q]
+        assert sorted(tested) == [self.P, self.Q]  # the core is never tested
         tested.clear()
         assert factor_with_order(3 * self.P, 1).complete
         assert tested == [self.P]
@@ -560,8 +566,103 @@ class TestFactorWithOrder:
         assert len(reduced) == 3 and reduced[0] == n
         assert sorted(reduced[1:]) == [self.P, self.Q]
 
+    def test_no_value_is_tested_twice(self, monkeypatch):
+        tested = []
+
+        def recording(z):
+            tested.append(z)
+            return is_probable_prime(z)
+
+        monkeypatch.setattr(engine, "is_probable_prime", recording)
+        rng = random.Random(11)
+        for _ in range(4):
+            inst = generate_instance(64, 8, 3, rng)
+            r = simulate_order(inst, 10**6, rng).order
+            tested.clear()
+            outcome = factor_with_order(inst.modulus, r, rng=rng)
+            assert len(tested) == len(set(tested))
+            primes = [p for p, _ in outcome.factorization.pairs]
+            assert primes and all(tested.count(p) == 1 for p in primes)
+            assert inst.modulus not in tested
+
     def test_domain(self):
         with pytest.raises(ValueError):
             factor_with_order(2, 1)
         with pytest.raises(ValueError):
             factor_with_order(15, 0)
+
+
+def _assert_never_wrong(N, result, truth):
+    """Every listed prime power is exact in N; a complete result is N."""
+    for p, e in result.factorization.pairs:
+        assert truth.get(p) == e, (N, p, e)
+    if result.complete:
+        assert result.factorization.product() == N
+
+
+class TestAdversarialInputs:
+    CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911)
+    # Chernick's (6k+1)(12k+1)(18k+1) at k=1696: every prime is above
+    # TRIAL_DIVISION_BOUND and every p - 1 needs 53 > bitlen(N)
+    CHERNICK = (10177, 20353, 30529)
+
+    def test_carmichael_numbers(self):
+        rng = random.Random(12)
+        for n in self.CARMICHAEL:
+            truth = trial_division_factorization(n)
+            # lambda(n) divides n - 1, so n - 1 is a valid order multiple
+            result = recover_factors(n, n - 1, rng=rng)
+            assert result.complete, n
+            _assert_never_wrong(n, result, truth)
+            for r in (1, 2, 3 * 5 * 7, rng.randrange(1, 2**32)):
+                result = recover_factors(n, r, k=2, rng=rng)
+                _assert_never_wrong(n, result, truth)
+
+    def test_chernick_carmichael_above_trial_division(self):
+        n = math.prod(self.CHERNICK)
+        assert n == 6323547512449
+        truth = {p: 1 for p in self.CHERNICK}
+        result = factor_with_order(n, n - 1, rng=random.Random(0))
+        assert result.complete
+        assert result.factorization.pairs == tuple(sorted(truth.items()))
+        for r in (1, 12345):
+            result = factor_with_order(n, r, k=3, rng=random.Random(0))
+            assert not result.complete
+            assert result.factorization.pairs == ()
+            # any seed may split off a prime by luck, never a wrong one
+            for seed in range(1, 8):
+                result = factor_with_order(n, r, k=3,
+                                           rng=random.Random(seed))
+                assert not result.complete
+                _assert_never_wrong(n, result, truth)
+
+    def test_prime_powers(self):
+        rng = random.Random(13)
+        for p in (10007, 65537, 2**61 - 1, 2**127 - 1):
+            for e in (2, 3, 5):
+                for r in (1, p - 1, rng.randrange(1, 2**32)):
+                    result = factor_with_order(p**e, r, k=1, rng=rng)
+                    assert result.complete
+                    assert result.factorization.pairs == ((p, e),)
+                    assert result.iterations == 0
+        for p, e in ((3, 7), (11, 3), (8191, 2)):
+            result = recover_factors(p**e, 1, rng=rng)
+            assert (result.complete, result.iterations) == (True, 0)
+            assert result.factorization.pairs == ((p, e),)
+
+    def test_arbitrary_order_with_fixed_k(self):
+        master = random.Random(14)
+        complete = 0
+        for _ in range(120):
+            inst = generate_instance(master.choice((12, 14, 16)),
+                                     master.choice((2, 3, 4)),
+                                     master.choice((1, 2, 3)), master)
+            truth = dict(zip(inst.primes, inst.exponents))
+            r = master.choice((1, master.randrange(1, 2**24),
+                               master.randrange(1, 2**64)))
+            result = factor_with_order(inst.modulus, r,
+                                       k=master.choice((1, 2, 3)),
+                                       rng=master)
+            _assert_never_wrong(inst.modulus, result, truth)
+            complete += result.complete
+        assert 0 < complete < 120
