@@ -25,6 +25,7 @@ from ordersplit.harness import (
     write_json,
 )
 from ordersplit.oracle import (
+    MAX_SMOOTH_BOUND,
     InfeasibleParametersError,
     exact_order,
     generate_instance,
@@ -111,8 +112,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--emax", type=int, required=True,
                        help="maximum prime-power exponent")
     p_sim.add_argument("--Bs", type=int, default=10**6,
-                       help="smoothness bound for heuristic order finding "
-                            "(default 1000000)")
+                       help="smoothness bound for heuristic order finding, "
+                            f"at most {MAX_SMOOTH_BOUND} (default 1000000)")
     p_sim.add_argument("--mode", choices=("exact", "heuristic"),
                        default="exact")
     p_sim.add_argument("--seed", type=int, default=None)
@@ -162,8 +163,8 @@ def cmd_factor(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         seed = _resolve_seed(args.seed)
-        if args.Bs < 2:
-            raise ValueError("--Bs must be >= 2")
+        if not 2 <= args.Bs <= MAX_SMOOTH_BOUND:
+            raise ValueError(f"--Bs must be in [2, {MAX_SMOOTH_BOUND}]")
     except ValueError as exc:
         print(f"ordersplit simulate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,6 +29,7 @@ from ordersplit.engine import (
     theoretical_failure_bound,
 )
 from ordersplit.oracle import (
+    MAX_SMOOTH_BOUND,
     InfeasibleParametersError,
     Instance,
     exact_order,
@@ -98,8 +99,9 @@ class ExperimentConfig:
             raise ValueError("c must be >= 1")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1 when fixed")
-        if self.B_s < 2:
-            raise ValueError("B_s must be >= 2")
+        if not 2 <= self.B_s <= MAX_SMOOTH_BOUND:
+            raise ValueError(f"B_s must be in [2, {MAX_SMOOTH_BOUND}], "
+                             f"got {self.B_s}")
         if self.order_mode not in ("exact", "simulate"):
             raise ValueError("order_mode must be 'exact' or 'simulate'")
 

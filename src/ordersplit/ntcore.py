@@ -34,6 +34,8 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
         3825123056546413051, 3825123056546413051, 318665857834031151167461)
 # psi_13: below it the 13 bases in _SMALL_PRIMES always suffice.
 _PSI_13 = 3317044064679887385961981
+# Baillie-PSW is exact below 2^64 and, from psi_4 on, cheaper than the bases.
+_BPSW_EXACT_BELOW = 1 << 64
 
 # Primes per gcd in small_prime_divisors. Larger chunks save little per
 # sweep and cost more to build: 256 primes near 10^6 make ~5,000 bits.
@@ -77,7 +79,9 @@ def small_prime_divisors(n: int, bound: int) -> list[int]:
     trial-divide. The sweep stops once the next chunk's first prime squared
     exceeds what is left of n, which is then 1 or a prime, or, after the
     first few chunks, once what is left is a prime below psi_13, where
-    ``is_probable_prime`` is exact.
+    ``is_probable_prime`` is exact: by proof outside [psi_4, 2^64), and
+    inside it because no base-2 strong pseudoprime below 2^64 passes the
+    Baillie-PSW test (checked against all of them).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -169,7 +173,17 @@ def _jacobi(a: int, n: int) -> int:
 def _strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test of odd n > 41, not a square, with Selfridge's
     parameters: the first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1
-    and Q = (1 - D) / 4."""
+    and Q = (1 - D) / 4.
+
+    With n + 1 = 2^s d, d odd, n passes when U_d = 0 or V_{d 2^r} = 0
+    (mod n) for some 0 <= r < s. U_d and V_d come from a ladder on
+    W_k = V_k(P', 1), P' = P^2/Q - 2, with two products per bit: as
+    V_2k(P, Q) = Q^k W_k, h = (d - 1)/2 gives D U_d = Q^(h+1) (W_(h+1) - W_h)
+    and V_d = Q^(h+1) (W_h + W_(h+1)), so U_d = 0 exactly when
+    W_h = W_(h+1). Q is a unit mod n: an odd prime p dividing Q and n is
+    at most |Q| < |D|, so D = +-p (or 9 for p = 3) came earlier in the
+    sequence with (D/n) = 0, and that returned False.
+    """
     D = 5
     while (j := _jacobi(D, n)) != -1:
         if j == 0:
@@ -179,17 +193,22 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     m = n + 1
     s = (m & -m).bit_length() - 1
     d = m >> s
-    # U_k, V_k and Q^k mod n for k = 1, then the bits of d below the top
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+    h = d >> 1
+    Pw = (pow(Q, -1, n) - 2) % n  # P' for P = 1
+    # (W_j, W_(j+1)) for j = 0, then j = 2j or 2j + 1 per bit of h
+    W, W1 = 2, Pw
+    for bit in bin(h)[2:]:
         if bit == "1":
-            U, V = U + V, D * U + V  # 2U_{k+1}, 2V_{k+1}; n is odd
-            U = (U + n if U & 1 else U) // 2 % n
-            V = (V + n if V & 1 else V) // 2 % n
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
+            W, W1 = (W * W1 - Pw) % n, (W1 * W1 - 2) % n
+        else:
+            W, W1 = (W * W - 2) % n, (W * W1 - Pw) % n
+    if W == W1:
+        return True  # U_d = 0
+    Qh = pow(Q, h, n)
+    V = Qh * Q * (W + W1) % n
+    if V == 0:
         return True
+    Qk = Qh * Qh * Q % n  # Q^d
     for _ in range(s - 1):
         V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
         if V == 0:
@@ -198,23 +217,26 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_probable_prime(z: int) -> bool:
-    """Primality of z: trial division by the primes <= 41, then strong tests.
+    """Primality of z: trial division by the primes <= 41, then one of two
+    tests. The answer is exact below
+    psi_13 = 3,317,044,064,679,887,385,961,981 (about 3.3e24).
 
-    Below 3,317,044,064,679,887,385,961,981 (about 3.3e24) strong tests to
-    the 13 bases <= 41 make the answer exact (Sorenson & Webster 2015);
-    z is tested to the first k of them, the fewest that are exact below
-    psi_k > z (2 bases below 1,373,653; Jaeschke 1993).
-    From there on it is the Baillie-PSW test: a strong base-2 test, a
-    perfect-square check and a strong Lucas test with Selfridge's
-    parameters. No composite is known to pass it, though none is proven
-    impossible.
+    - Below psi_4 = 3,215,031,751 and in [2^64, psi_13): strong tests to
+      the first k primes, the fewest that are exact below psi_k > z
+      (Jaeschke 1993; Sorenson & Webster 2015 for k = 12 and 13).
+    - In [psi_4, 2^64) and from psi_13 on: the Baillie-PSW test, a strong
+      base-2 test, a perfect-square check and a strong Lucas test with
+      Selfridge's parameters. Below 2^64 it is exact: no base-2 strong
+      pseudoprime there (Feitsma's list) passes its Lucas half (Gilchrist;
+      Baillie, Fiori & Wagstaff, Math. Comp. 90, 2021). From psi_13 on no
+      composite is known to pass it, though none is proven impossible.
     """
     if z < 2:
         return False
     for p in _SMALL_PRIMES:
         if z % p == 0:
             return z == p
-    if z < _PSI_13:
+    if z < _PSI[3] or _BPSW_EXACT_BELOW <= z < _PSI_13:
         t, d = split_two_adic(z - 1)
         k = bisect.bisect_right(_PSI, z) + 1
         return all(_strong_liar(a, d, t, z) for a in _SMALL_PRIMES[:k])

@@ -126,6 +126,10 @@ def _odd_prime_count(bits: int) -> int:
 # product is its small-factor part (about 85% of odd candidates have one).
 _SMALL_ODD_PRIMES_PRODUCT = math.prod(primes_up_to(2000)[1:])
 _SAMPLER_ROUNDS = 64
+# The largest smoothness bound simulate_order takes. The primes up to it
+# are sieved in a bytearray of that many bytes (100 MB) and kept as a
+# tuple: at 10^8 a heuristic `ordersplit simulate` peaks near 375 MiB.
+MAX_SMOOTH_BOUND = 10**8
 
 
 def _passes_strong_tests(c: int, rng: random.Random) -> bool:
@@ -174,9 +178,12 @@ def generate_instance(l: int, n: int, e_max: int,
     candidate with a small prime factor is first tested modulo that part,
     and a candidate that ``is_probable_prime`` finds prime has its last
     63 bases drawn but not tested. The draws and the verdicts are those of
-    the full tests by proof for every l <= 81, below psi_13 ~ 3.3e24,
-    where ``is_probable_prime`` is exact. Above it they could differ only
-    if a Baillie-PSW pseudoprime were drawn, and none is known.
+    the full tests for every l <= 81, below psi_13 ~ 3.3e24, where
+    ``is_probable_prime`` is exact: by proof outside [psi_4, 2^64), and
+    inside it because no base-2 strong pseudoprime below 2^64 passes the
+    Baillie-PSW test (checked against all of them). Above psi_13 they
+    could differ only if a Baillie-PSW pseudoprime were drawn, and none is
+    known.
     """
     if l < 3:
         raise InfeasibleParametersError("prime bit length must be >= 3")
@@ -328,10 +335,11 @@ def simulate_order(instance: Instance, smooth_bound: int,
     approximated by dividing primes <= smooth_bound off phi(p_i^e_i) while
     the power stays 1, and g is assembled by Chinese remaindering. The
     returned order is always a positive multiple of the true order of g;
-    any excess has only prime factors above smooth_bound.
+    any excess has only prime factors above smooth_bound, which must lie
+    in [2, MAX_SMOOTH_BOUND].
     """
-    if smooth_bound < 2:
-        raise ValueError("smooth_bound must be >= 2")
+    if not 2 <= smooth_bound <= MAX_SMOOTH_BOUND:
+        raise ValueError(f"smooth_bound must be in [2, {MAX_SMOOTH_BOUND}]")
     residues: list[int] = []
     moduli: list[int] = []
     order = 1

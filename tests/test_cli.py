@@ -176,6 +176,15 @@ class TestSimulateCommand:
         assert code == EXIT_INFEASIBLE
         assert "error" in err
 
+    def test_smoothness_bound_above_the_limit(self, capsys):
+        # rejected before any sieving: a 10^12 sieve would not fit in memory
+        code, out, err = run_cli(capsys, "simulate", "--l", "20", "--n", "2",
+                                 "--emax", "1", "--mode", "heuristic",
+                                 "--Bs", "1000000000000", "--seed", "1")
+        assert code == EXIT_USAGE
+        assert "--Bs" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestExperimentCommand:
     def test_runs_grid_and_writes_reports(self, capsys, tmp_path):
@@ -238,6 +247,18 @@ class TestExperimentCommand:
                                  str(tmp_path / "out"))
         assert code == EXIT_USAGE
         assert field in err and "Traceback" not in err
+        assert out == ""
+
+    def test_smoothness_bound_above_the_limit(self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "l_values": [20], "n_values": [2], "emax_values": [1],
+            "trials_per_cell": 1, "B_s": 10**12}))
+        code, out, err = run_cli(capsys, "experiment", "--config",
+                                 str(config_path), "--out",
+                                 str(tmp_path / "out"))
+        assert code == EXIT_USAGE
+        assert "B_s" in err and "Traceback" not in err
         assert out == ""
 
     def test_config_not_an_object(self, capsys, tmp_path):

@@ -226,6 +226,17 @@ class TestFactorSet:
         assert fs.complete
         assert fs.factorization.pairs == ((10007, 1), (p, 2), (q, 1))
 
+    def test_repr_runs_no_primality_test(self, monkeypatch):
+        pq = (2**521 - 1) * (2**607 - 1)  # a semiprime past 1024 bits
+        fs = FactorSet(3 * pq, entries=(3,))
+        assert fs.entries == ((3, True),)
+        assert fs.add_factor(pq)  # inserted untested
+        tested = []
+        monkeypatch.setattr(engine, "is_probable_prime", tested.append)
+        assert repr(fs) == (f"FactorSet(target={3 * pq}, "
+                            f"entries=[(3, True), ({pq}, None)])")
+        assert tested == []
+
 
 class TestFactorization:
     def test_validation(self):

@@ -1,4 +1,6 @@
+import bisect
 import math
+import os
 import random
 
 import pytest
@@ -252,6 +254,140 @@ class TestIsProbablePrime:
                     for _ in range(2))
             assert is_probable_prime(p) and is_probable_prime(q)
             assert is_probable_prime(p * q) == sympy.isprime(p * q), (p, q)
+
+
+PSI_4 = PSI_1_TO_13[3]
+
+
+def _uv_strong_lucas_reference(n):
+    """The strong Lucas test with Selfridge's parameters, computed the
+    textbook way: U_k, V_k and Q^k per bit of d, where n + 1 = 2^s d."""
+    D = 5
+    while (j := ntcore._jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    m = n + 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _next_prime(z):
+    while not is_probable_prime(z):
+        z += 1
+    return z
+
+
+def _p_times_2p_minus_1_pseudoprimes(bound):
+    """p(2p - 1) in [psi_4, 2^64) for primes p < bound with 2p - 1 prime
+    that are strong pseudoprimes to base 2."""
+    primes = primes_up_to(2 * bound)
+    prime_set = set(primes)
+    found = []
+    for p in primes[:bisect.bisect_left(primes, bound)]:
+        z = p * (2 * p - 1)
+        if (2 * p - 1 in prime_set and PSI_4 <= z < 1 << 64
+                and _strong_probable_prime(z, 2)):
+            found.append(z)
+    return found
+
+
+class TestBailliePSWBelow2To64:
+    """Baillie-PSW decides [psi_4, 2^64); its Lucas half is a V-only ladder."""
+
+    def test_ladder_matches_reference_on_small_odd_non_squares(self):
+        for z in range(43, 2 * 10**5, 2):
+            if math.isqrt(z) ** 2 == z:
+                continue
+            assert (_strong_lucas_probable_prime(z)
+                    == _uv_strong_lucas_reference(z)), z
+
+    def test_ladder_matches_reference_on_random_odd_z(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            bits = round(2 ** rng.uniform(6, 11))  # log-uniform, 64 to 2048
+            z = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            assert (_strong_lucas_probable_prime(z)
+                    == _uv_strong_lucas_reference(z)), z
+
+    def test_ladder_matches_reference_on_semiprimes(self):
+        rng = random.Random(17)
+        for bits in (32, 48, 64, 128, 256, 512, 1024):
+            p, q = (_next_prime(rng.getrandbits(bits) | (1 << (bits - 1)))
+                    for _ in range(2))
+            assert _strong_lucas_probable_prime(p), p
+            assert _strong_lucas_probable_prime(q), q
+            assert (_strong_lucas_probable_prime(p * q)
+                    == _uv_strong_lucas_reference(p * q)), (p, q)
+
+    def test_chernick_strong_pseudoprimes_are_rejected(self):
+        # (6k+1)(12k+1)(18k+1) with three prime factors is a Carmichael
+        # number; those that are strong pseudoprimes to base 2 fall only to
+        # the Lucas half
+        found = []
+        k = 1
+        while (z := (6 * k + 1) * (12 * k + 1) * (18 * k + 1)) < 1 << 64:
+            if (z >= PSI_4 and all(is_probable_prime(i * k + 1)
+                                   for i in (6, 12, 18))
+                    and _strong_probable_prime(z, 2)):
+                found.append(z)
+            k += 1
+        assert len(found) == 251 and found[0] == 27278026129
+        for z in found:
+            assert math.gcd(z, math.prod(BASES_UP_TO_41)) == 1, z
+            assert not is_probable_prime(z), z
+
+    def test_p_times_2p_minus_1_strong_pseudoprimes_are_rejected(self):
+        found = _p_times_2p_minus_1_pseudoprimes(3 * 10**5)
+        assert len(found) == 374 and found[0] == 3237992101
+        for z in found:
+            assert math.gcd(z, math.prod(BASES_UP_TO_41)) == 1, z
+            assert not is_probable_prime(z), z
+
+    @pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
+                        reason="long-mode family check; set ORDERSPLIT_LONG=1")
+    def test_long_mode_p_times_2p_minus_1_to_3e6(self):
+        found = _p_times_2p_minus_1_pseudoprimes(3 * 10**6)
+        assert len(found) == 3210
+        for z in found:
+            assert not is_probable_prime(z), z
+
+    def test_agrees_with_all_13_bases_around_2_to_64(self):
+        for z in range((1 << 64) - 1000, (1 << 64) + 1001):
+            assert is_probable_prime(z) == _by_all_13_bases(z), z
+
+    def test_only_psi_4_to_2_to_64_runs_the_lucas_test(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return _uv_strong_lucas_reference(n)
+
+        monkeypatch.setattr(ntcore, "_strong_lucas_probable_prime", counting)
+        below_psi_4 = 2**31 - 1
+        in_range = 2**64 - 59  # the largest 64-bit prime
+        above_2_64 = 2**64 + 13  # the smallest prime above 2^64
+        for z in (below_psi_4, in_range, above_2_64):
+            assert _by_all_13_bases(z), z
+            calls.clear()
+            assert is_probable_prime(z)
+            assert calls == ([z] if z == in_range else []), z
 
 
 class TestIntegerNthRoot:
