@@ -24,6 +24,7 @@ from ordersplit.harness import (
     write_csv,
     write_json,
 )
+from ordersplit.ntcore import MAX_SIEVE_BOUND
 from ordersplit.oracle import (
     MAX_SMOOTH_BOUND,
     InfeasibleParametersError,
@@ -97,7 +98,8 @@ def build_parser() -> _Parser:
                                "mod N (decimal)")
     p_factor.add_argument("--c", type=int, default=1,
                           help="smoothness multiplier for the grown "
-                               "exponent (default 1)")
+                               "exponent, with c * bitlen(N) at most "
+                               f"{MAX_SIEVE_BOUND} (default 1)")
     p_factor.add_argument("--k", type=_parse_k, default=None,
                           help="fixed iteration count, or 'auto' to run "
                                "until complete (default auto)")
@@ -144,6 +146,11 @@ def cmd_factor(args) -> int:
             raise ValueError("r must be >= 1")
         if args.c < 1:
             raise ValueError("--c must be >= 1")
+        if args.c * n.bit_length() > MAX_SIEVE_BOUND:
+            # c * bitlen(N) is the sieve bound of the grown exponent
+            raise ValueError(f"--c times the bit length of N must be at "
+                             f"most {MAX_SIEVE_BOUND}, got "
+                             f"{args.c} * {n.bit_length()}")
         seed = _resolve_seed(args.seed)
     except ValueError as exc:
         print(f"ordersplit factor: error: {exc}", file=sys.stderr)

@@ -123,10 +123,12 @@ class FactorSet:
     """A set of nontrivial, pairwise coprime divisors of a target N.
 
     Insertions are refined by iterated gcd splitting until pairwise
-    coprimality is restored; every entry is reduced to a non-power base.
-    Each entry gets its one ``is_probable_prime`` verdict when a reader
-    (``entries``, ``factorization``, ``complete`` or ``unresolved_parts``)
-    first needs it, so an entry split again before then is never tested.
+    coprimality is restored. Each entry gets its one ``is_probable_prime``
+    verdict when a reader (``entries``, ``factorization``, ``complete`` or
+    ``unresolved_parts``) first needs it, so an entry split again before
+    then is never tested. Entries are reduced to non-power bases on first
+    read too, in place, and only those found composite: a prime entry is
+    never reduced. The constructor's entries are reduced on insertion.
     ``factorization`` lists the prime entries with their full
     multiplicities in N, computed on read and kept until the next
     insertion, and ``complete`` holds when those prime powers multiply back
@@ -138,24 +140,21 @@ class FactorSet:
             raise ValueError("target must be >= 2")
         self.target = target
         self._values: dict[int, bool | None] = {}  # None: not yet tested
+        self._bases: set[int] = set()  # reduced already: not perfect powers
         self._factorization: Factorization | None = None
         for v in entries:
-            self._insert(v)
+            if not 1 < v <= target or target % v != 0:
+                raise ValueError(f"{v} is not a nontrivial divisor of {target}")
+            base, _ = perfect_power_reduce(v)
+            self._bases.add(base)
+            self._insert(base)
 
     def _insert(self, value: int) -> None:
-        if not 1 < value <= self.target or self.target % value != 0:
-            raise ValueError(f"{value} is not a nontrivial divisor of {self.target}")
         self._factorization = None
         work = [value]
-        bases: set[int] = set()  # reduced here already: not perfect powers
         while work:
             x = work.pop()
-            if x == 1:
-                continue
-            if x not in bases:
-                x, _ = perfect_power_reduce(x)
-                bases.add(x)
-            if x in self._values:
+            if x == 1 or x in self._values:
                 continue
             for v in self._values:
                 g = math.gcd(x, v)
@@ -169,10 +168,19 @@ class FactorSet:
                 self._values[x] = None
 
     def _verdicts(self) -> dict[int, bool]:
+        if None not in self._values.values():
+            return self._values
+        verdicts = {}
         for v, prime in self._values.items():
             if prime is None:
-                self._values[v] = is_probable_prime(v)
-        return self._values
+                prime = is_probable_prime(v)
+                if not prime and v not in self._bases:
+                    base, exp = perfect_power_reduce(v)
+                    if exp > 1:  # the base takes the power's place
+                        v, prime = base, is_probable_prime(base)
+            verdicts[v] = prime
+        self._values = verdicts
+        return verdicts
 
     @property
     def factorization(self) -> Factorization:

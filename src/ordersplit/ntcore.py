@@ -37,6 +37,10 @@ _PSI_13 = 3317044064679887385961981
 # Baillie-PSW is exact below 2^64 and, from psi_4 on, cheaper than the bases.
 _BPSW_EXACT_BELOW = 1 << 64
 
+# The largest bound primes_up_to and small_prime_divisors sieve to: a
+# bytearray of that many bytes (100 MB), kept as a tuple of its primes.
+MAX_SIEVE_BOUND = 10**8
+
 # Primes per gcd in small_prime_divisors. Larger chunks save little per
 # sweep and cost more to build: 256 primes near 10^6 make ~5,000 bits.
 _CHUNK = 256
@@ -63,10 +67,20 @@ def _prime_chunks(bound: int) -> tuple[tuple[int, int], ...]:
                  for i in range(0, len(primes), _CHUNK))
 
 
+def _check_sieve_bound(bound: int) -> None:
+    if bound > MAX_SIEVE_BOUND:
+        raise ValueError(f"bound must be at most {MAX_SIEVE_BOUND}, "
+                         f"got {bound}")
+
+
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending (Eratosthenes, memoized per bound)."""
+    """All primes <= bound, ascending (Eratosthenes, memoized per bound).
+
+    Raises ValueError for a bound above MAX_SIEVE_BOUND.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    _check_sieve_bound(bound)
     if bound < 2:
         return []
     return list(_sieve(bound))
@@ -81,10 +95,12 @@ def small_prime_divisors(n: int, bound: int) -> list[int]:
     first few chunks, once what is left is a prime below psi_13, where
     ``is_probable_prime`` is exact: by proof outside [psi_4, 2^64), and
     inside it because no base-2 strong pseudoprime below 2^64 passes the
-    Baillie-PSW test (checked against all of them).
+    Baillie-PSW test (checked against all of them). Raises ValueError for
+    a bound above MAX_SIEVE_BOUND.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_sieve_bound(bound)
     if bound < 2:
         return []
     primes = _sieve(bound)
@@ -304,7 +320,7 @@ def perfect_power_reduce(z: int) -> tuple[int, int]:
     reduced = True
     while reduced:
         reduced = False
-        for d in primes_up_to(base.bit_length() - 1):
+        for d in _sieve(base.bit_length() - 1):
             if not _may_be_power(base, d):
                 continue
             root = integer_nth_root(base, d)

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from ordersplit.ntcore import (_strong_liar, is_probable_prime,
-                               multiplicative_order, primes_up_to,
-                               small_prime_divisors, split_two_adic)
+from ordersplit.ntcore import (MAX_SIEVE_BOUND, _strong_liar,
+                               is_probable_prime, multiplicative_order,
+                               primes_up_to, small_prime_divisors,
+                               split_two_adic)
 
 __all__ = [
     "InfeasibleParametersError",
@@ -126,10 +127,31 @@ def _odd_prime_count(bits: int) -> int:
 # product is its small-factor part (about 85% of odd candidates have one).
 _SMALL_ODD_PRIMES_PRODUCT = math.prod(primes_up_to(2000)[1:])
 _SAMPLER_ROUNDS = 64
-# The largest smoothness bound simulate_order takes. The primes up to it
-# are sieved in a bytearray of that many bytes (100 MB) and kept as a
-# tuple: at 10^8 a heuristic `ordersplit simulate` peaks near 375 MiB.
-MAX_SMOOTH_BOUND = 10**8
+# The largest smoothness bound simulate_order takes, the largest sieve:
+# at 10^8 a heuristic `ordersplit simulate` peaks near 375 MiB.
+MAX_SMOOTH_BOUND = MAX_SIEVE_BOUND
+
+
+def _skip_randrange(rng: random.Random, start: int, stop: int,
+                    count: int) -> None:
+    """Advance rng as ``count`` calls rng.randrange(start, stop) would,
+    for start < stop.
+
+    For a random.Random itself the draws are made inline, as randrange
+    makes them through ``_randbelow_with_getrandbits`` (the same in
+    CPython 3.10 to 3.13): getrandbits(k), k the bit length of the width,
+    until a value below the width. Any other rng, subclasses included, is
+    called.
+    """
+    if type(rng) is not random.Random:
+        for _ in range(count):
+            rng.randrange(start, stop)
+        return
+    width = stop - start
+    getrandbits, k = rng.getrandbits, width.bit_length()
+    for _ in range(count):
+        while getrandbits(k) >= width:
+            pass
 
 
 def _passes_strong_tests(c: int, rng: random.Random) -> bool:
@@ -142,7 +164,9 @@ def _passes_strong_tests(c: int, rng: random.Random) -> bool:
     the small-factor part s of c is proper (1 < s < c), a base failing
     modulo s is a witness and needs no test modulo c. Otherwise, once the
     first base passes and ``is_probable_prime`` finds c prime, the other
-    bases are drawn untested, because a prime has no witness.
+    bases are drawn untested, because a prime has no witness; for a
+    random.Random they are drawn without randrange, from the same stream
+    (``_skip_randrange``).
     """
     t, d = split_two_adic(c - 1)
     s = math.gcd(c, _SMALL_ODD_PRIMES_PRODUCT)
@@ -155,8 +179,7 @@ def _passes_strong_tests(c: int, rng: random.Random) -> bool:
     if not _strong_liar(rng.randrange(2, c - 1), d, t, c):
         return False
     if is_probable_prime(c):
-        for _ in range(_SAMPLER_ROUNDS - 1):
-            rng.randrange(2, c - 1)
+        _skip_randrange(rng, 2, c - 1, _SAMPLER_ROUNDS - 1)
         return True
     return all(_strong_liar(rng.randrange(2, c - 1), d, t, c)
                for _ in range(_SAMPLER_ROUNDS - 1))
@@ -177,8 +200,9 @@ def generate_instance(l: int, n: int, e_max: int,
     themselves take two shortcuts (see ``_passes_strong_tests``): a
     candidate with a small prime factor is first tested modulo that part,
     and a candidate that ``is_probable_prime`` finds prime has its last
-    63 bases drawn but not tested. The draws and the verdicts are those of
-    the full tests for every l <= 81, below psi_13 ~ 3.3e24, where
+    63 bases drawn but not tested, without randrange when ``rng`` is a
+    random.Random, from the same stream. The draws and the verdicts are
+    those of the full tests for every l <= 81, below psi_13 ~ 3.3e24, where
     ``is_probable_prime`` is exact: by proof outside [psi_4, 2^64), and
     inside it because no base-2 strong pseudoprime below 2^64 passes the
     Baillie-PSW test (checked against all of them). Above psi_13 they
@@ -262,7 +286,8 @@ def _pollard_rho(n: int, rng: random.Random, max_attempts: int = 64) -> int:
 def _factor_completely(n: int, trial_bound: int = 10**6) -> dict[int, int]:
     """Full factorization {prime: exponent} by trial division then rho.
 
-    Deterministic: the rho stream is seeded from n itself.
+    Deterministic: the rho stream is seeded from what trial division
+    leaves of n, and made only when a composite needs rho.
     """
     factors: dict[int, int] = {}
     # a power of two >= sqrt(n) keeps one sieve per bit length of n
@@ -274,13 +299,15 @@ def _factor_completely(n: int, trial_bound: int = 10**6) -> dict[int, int]:
             n //= p
     if n == 1:
         return factors
-    rng = random.Random(n)
+    rng = None
     stack = [n]
     while stack:
         m = stack.pop()
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
+        if rng is None:
+            rng = random.Random(n)
         d = _pollard_rho(m, rng)
         stack.extend((d, m // d))
     return factors

@@ -1,10 +1,27 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the package's own code paths: naive reference
-implementations used to freeze or cross-check expected values.
+implementations used to freeze or cross-check expected values, and a
+fixture that keeps tests of the sieve limit from sieving past it.
 """
 
 import math
+
+import pytest
+
+from ordersplit import ntcore
+
+
+@pytest.fixture
+def refuse_large_sieves(monkeypatch):
+    """Fail, before allocating, any sieve above ntcore.MAX_SIEVE_BOUND."""
+    sieve = ntcore._sieve
+
+    def guarded(bound):
+        assert bound <= ntcore.MAX_SIEVE_BOUND, f"sieve to {bound} attempted"
+        return sieve(bound)
+
+    monkeypatch.setattr(ntcore, "_sieve", guarded)
 
 
 def naive_sieve(bound):

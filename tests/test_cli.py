@@ -96,6 +96,14 @@ class TestFactorCommand:
                              "--k", "sometimes")
         assert code == EXIT_USAGE
 
+    def test_c_above_the_sieve_limit(self, capsys, refuse_large_sieves):
+        # the engine would sieve to c * bitlen(N) = 3,703,704 * 27 > 10^8
+        code, out, err = run_cli(capsys, "factor", "--N", str(10007 * 10009),
+                                 "--r", "4", "--c", "3703704", "--seed", "1")
+        assert code == EXIT_USAGE
+        assert "--c" in err and "Traceback" not in err
+        assert out == ""
+
     def test_fixed_k(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "--N", "143", "--r", "60",
                                "--k", "16", "--seed", "5")

@@ -573,9 +573,8 @@ class TestFactorWithOrder:
         n = self.P * self.Q
         outcome = factor_with_order(n, self.R, rng=random.Random(0))
         assert outcome.complete
-        # N, then the split-off divisor d and N / d, each once
-        assert len(reduced) == 3 and reduced[0] == n
-        assert sorted(reduced[1:]) == [self.P, self.Q]
+        # N on insertion; the split-off primes P and Q are never reduced
+        assert reduced == [n]
 
     def test_no_value_is_tested_twice(self, monkeypatch):
         tested = []

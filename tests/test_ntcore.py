@@ -9,6 +9,7 @@ from conftest import brute_force_order, naive_sieve
 from ordersplit import ntcore
 from ordersplit.ntcore import (
     _CHUNK,
+    MAX_SIEVE_BOUND,
     _sieve,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
@@ -39,6 +40,11 @@ class TestPrimesUpTo:
         with pytest.raises(ValueError):
             primes_up_to(-1)
 
+    def test_bound_above_the_limit(self, refuse_large_sieves):
+        for bound in (MAX_SIEVE_BOUND + 1, 10**12):
+            with pytest.raises(ValueError, match="at most"):
+                primes_up_to(bound)
+
 
 def _divisors_by_trial_division(n, bound):
     return [p for p in primes_up_to(bound) if n % p == 0]
@@ -48,6 +54,11 @@ class TestSmallPrimeDivisors:
     def test_one_has_none(self):
         for bound in (0, 1, 2, 10**4):
             assert small_prime_divisors(1, bound) == []
+
+    def test_bound_above_the_limit(self, refuse_large_sieves):
+        for bound in (MAX_SIEVE_BOUND + 1, 10**12):
+            with pytest.raises(ValueError, match="at most"):
+                small_prime_divisors(10**20 + 39, bound)
 
     def test_bound_below_two(self):
         for bound in (0, 1):

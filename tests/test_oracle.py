@@ -14,6 +14,7 @@ from ordersplit.oracle import (
     _factor_completely,
     _passes_strong_tests,
     _reduce_component_order,
+    _skip_randrange,
     exact_order,
     generate_instance,
     sample_unit,
@@ -190,6 +191,46 @@ class TestPassesStrongTests:
             rng = _ScriptedRng([liar, liar, 3])
             assert not _passes_strong_tests(c, rng)
             assert len(rng.calls) == 3
+
+
+class _CountingRandom(random.Random):
+    """A random.Random subclass that counts its randrange calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def randrange(self, start, stop=None, step=1):
+        self.calls.append((start, stop))
+        return super().randrange(start, stop, step)
+
+
+class TestSkipRandrange:
+    def test_same_state_as_randrange_calls(self):
+        # a width that is a power of two rejects half the draws
+        picker = random.Random(0)
+        for bits in [*range(1, 131), 1024]:
+            low, high = 1 << (bits - 1), (1 << bits) - 1
+            for seed in range(12):
+                width = (low, high, picker.randint(low, high))[seed % 3]
+                start = picker.randrange(0, 1 << bits)
+                count = picker.randint(1, 63)
+                rng, ref = random.Random(seed), random.Random(seed)
+                _skip_randrange(rng, start, start + width, count)
+                for _ in range(count):
+                    ref.randrange(start, start + width)
+                assert rng.getstate() == ref.getstate(), (bits, seed)
+
+    def test_subclass_and_scripted_rngs_call_randrange(self):
+        rng, ref = _CountingRandom(5), random.Random(5)
+        _skip_randrange(rng, 2, 1000, 63)
+        assert rng.calls == [(2, 1000)] * 63
+        for _ in range(63):
+            ref.randrange(2, 1000)
+        assert rng.getstate() == ref.getstate()
+        scripted = _ScriptedRng([7] * 63)
+        _skip_randrange(scripted, 2, 1000, 63)
+        assert scripted.calls == [(2, 1000)] * 63
 
 
 class TestSampleUnit:

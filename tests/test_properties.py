@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ordersplit.engine import FactorSet  # noqa: E402
 from ordersplit.ntcore import (  # noqa: E402
     integer_nth_root,
+    is_probable_prime,
     perfect_power_reduce,
     primes_up_to,
 )
@@ -48,6 +49,82 @@ def test_factor_set_stays_coprime_under_insertions(case):
             assert fs.factorization.product() == target
         assert math.prod(fs.unresolved_parts()) == (
             target // fs.factorization.product())
+
+
+class _EagerFactorSet(FactorSet):
+    """FactorSet as it was when every inserted piece was reduced at once."""
+
+    def _insert(self, value):
+        self._factorization = None
+        work = [value]
+        bases = set()  # reduced here already: not perfect powers
+        while work:
+            x = work.pop()
+            if x == 1:
+                continue
+            if x not in bases:
+                x, _ = perfect_power_reduce(x)
+                bases.add(x)
+            if x in self._values:
+                continue
+            for v in self._values:
+                g = math.gcd(x, v)
+                if g > 1:
+                    if g < v:
+                        del self._values[v]
+                        work.extend((g, v // g))
+                    work.append(x // g)
+                    break
+            else:
+                self._values[x] = None
+
+    def _verdicts(self):
+        for v, prime in self._values.items():
+            if prime is None:
+                self._values[v] = is_probable_prime(v)
+        return self._values
+
+
+@st.composite
+def _power_rich_insertions(draw):
+    """A target whose prime exponents reach 4, and divisors of it, many of
+    them squares, cubes or powers of composites, each with a flag to read
+    the set after inserting it."""
+    primes = draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=5,
+                           unique=True))
+    exponents = draw(st.lists(st.integers(1, 4), min_size=len(primes),
+                              max_size=len(primes)))
+    target = math.prod(p**e for p, e in zip(primes, exponents))
+    insertions = []
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.lists(st.integers(0, 2), min_size=len(primes),
+                              max_size=len(primes)))
+        power = draw(st.integers(1, 4))
+        d = math.prod(p ** min(a * power, e)
+                      for p, e, a in zip(primes, exponents, shape))
+        insertions.append((d, draw(st.booleans())))
+    return target, insertions
+
+
+def _observed(fs):
+    # The same parts, but not always in the same order: inserting 77^2
+    # into {2310} leaves the entries in the order 77, 30, and in the order
+    # 30, 77 when 77^2 is reduced first. Each chain of recover_factors
+    # depends only on the unit and its part, so no result depends on it.
+    return fs.entries, fs.factorization, sorted(fs.unresolved_parts())
+
+
+@settings(deadline=None, max_examples=500)
+@given(_power_rich_insertions())
+def test_lazy_reduction_matches_eager_reduction(case):
+    target, insertions = case
+    lazy = FactorSet(target, entries=(target,))
+    eager = _EagerFactorSet(target, entries=(target,))
+    for d, read in insertions:
+        assert lazy.add_factor(d) == eager.add_factor(d)
+        if read:
+            assert _observed(lazy) == _observed(eager)
+    assert _observed(lazy) == _observed(eager)
 
 
 def _is_perfect_power(z):
