@@ -1,14 +1,15 @@
 """Complete factorization of an odd composite N from one multiplicative order.
 
-Given the order r of a single random unit, the recovery procedure grows r
-into r' by multiplying on every prime power up to a smoothness bound m' =
-c * bitlen(N), splits r' = 2^t * o with o odd, and then repeatedly draws
-random units x, walking the squaring chain x^o, x^(2o), ..., x^(2^t o) and
-taking gcds of (chain value - 1) with the not-yet-factored part of N. That
-part is kept as one coprime piece per composite factor found so far, and
-each piece gets its own chain, so ``gcd_calls`` counts one gcd per piece
-per chain step. Each nontrivial gcd refines a set of pairwise coprime
-factors until the set consists of primes whose powers reconstruct N.
+Given the order r of a single random unit, the recovery procedure first
+splits off gcd(N, r), which holds most primes that divide N more than once.
+It then grows r into r' by multiplying on every prime power up to a
+smoothness bound m' = c * bitlen(N), splits r' = 2^t * o with o odd, and
+repeatedly draws random units x, walking the squaring chain x^o, x^(2o),
+..., x^(2^t o) and taking gcds of (chain value - 1) with each composite
+factor found so far. Each composite factor gets its own chain, modulo
+itself, so ``gcd_calls`` counts one gcd per composite factor per chain
+step. Each nontrivial gcd refines a set of pairwise coprime factors until
+the set consists of primes whose powers reconstruct N.
 
 The classic split gcd(g^(r/2) +- 1, N) is included as a baseline, together
 with the iteration-count rule and the theoretical failure bound used by the
@@ -124,15 +125,14 @@ class FactorSet:
 
     Insertions are refined by iterated gcd splitting until pairwise
     coprimality is restored. Each entry gets its one ``is_probable_prime``
-    verdict when a reader (``entries``, ``factorization``, ``complete`` or
-    ``unresolved_parts``) first needs it, so an entry split again before
-    then is never tested. Entries are reduced to non-power bases on first
-    read too, in place, and only those found composite: a prime entry is
-    never reduced. The constructor's entries are reduced on insertion.
-    ``factorization`` lists the prime entries with their full
-    multiplicities in N, computed on read and kept until the next
-    insertion, and ``complete`` holds when those prime powers multiply back
-    to N.
+    verdict when a reader (``entries``, ``factorization`` or ``complete``)
+    first needs it, so an entry split again before then is never tested.
+    Entries are reduced to non-power bases on first read too, in place,
+    and only those found composite: a prime entry is never reduced. The
+    constructor's entries are reduced on insertion. ``factorization``
+    lists the prime entries with their full multiplicities in N, computed
+    on read and kept until the next insertion, and ``complete`` holds when
+    those prime powers multiply back to N.
     """
 
     def __init__(self, target: int, *, entries=()):
@@ -210,24 +210,6 @@ class FactorSet:
     def entries(self) -> tuple[tuple[int, bool], ...]:
         return tuple(sorted(self._verdicts().items()))
 
-    def unresolved_parts(self) -> tuple[int, ...]:
-        """The full part of the target for each composite entry.
-
-        A part is the entry's primes, each to its full multiplicity in the
-        target. The parts are pairwise coprime, and they multiply to the
-        target with the prime entries' full powers divided off.
-        """
-        parts = []
-        for w, prime in self._verdicts().items():
-            if prime:
-                continue
-            part, rest, g = w, self.target // w, w
-            while (g := math.gcd(rest, g)) > 1:
-                part *= g
-                rest //= g
-            parts.append(part)
-        return tuple(parts)
-
     def __repr__(self) -> str:
         # the verdicts as they stand (None: untested); reading them runs none
         return (f"FactorSet(target={self.target}, "
@@ -267,17 +249,20 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
                     rng: random.Random | None = None) -> RecoveryResult:
     """Completely factor odd composite N given a multiple r of a unit's order.
 
-    Runs the grown-exponent squaring-chain procedure: with r' = 2^t * o from
-    ``guess_multiple``, each iteration draws x uniformly from the units mod N
-    (excluding 1) and walks one chain per composite entry w of the factor
-    set, modulo w's full part M of N (its primes to their full
-    multiplicity): u_0 = x^o and u_i = u_{i-1}^2 mod M, feeding every
-    nontrivial gcd(u_i - 1, M) into the factor set. The parts are pairwise
-    coprime and multiply to N with the confirmed prime powers divided off,
-    so by the CRT each gcd is the part-M component of the gcd a single
-    chain modulo their product would give, at a fraction of its modexp
-    cost. ``gcd_calls`` counts one gcd per entry per chain step.
-    Non-unit draws with a nontrivial gcd are exploited as free factors.
+    Runs the grown-exponent squaring-chain procedure. Before any draw,
+    gcd(N, r) goes into the factor set: when p^e divides N with e >= 2,
+    a unit x has an order modulo p^e divisible by p unless x^(p-1) = 1 mod
+    p^e, which holds with probability p^-(e-1), so this gcd splits off
+    most repeated primes at no modexp cost. Then, with r' = 2^t * o from
+    ``guess_multiple``, each iteration draws x uniformly from the units
+    mod N (excluding 1) and walks one chain per composite entry w of the
+    factor set, modulo w itself: u_0 = x^o and u_i = u_{i-1}^2 mod w,
+    feeding every nontrivial gcd(u_i - 1, w) into the factor set. By the
+    CRT, gcd(u_i - 1, w) equals the gcd of w with the i-th value of one
+    chain modulo N, so the splits are those of the single-chain form, at a
+    fraction of its modexp cost. ``gcd_calls`` counts one gcd per entry
+    per chain step. Non-unit draws with a nontrivial gcd are exploited as
+    free factors.
 
     With ``k`` fixed, up to k iterations run; with k=None the loop runs
     until the factorization is complete, capped at
@@ -288,11 +273,12 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     The result carries the prime powers found, complete or not, and the
     grown exponent.
 
-    N itself gets its ``is_probable_prime`` verdict only if the first
-    iteration leaves it whole: a split proves N composite at no cost. A
-    prime N then raises ValueError, one draw and one chain later. A proper
-    power's base is tested before any draw, so a prime power resolves with
-    no iteration. ``rng`` drives only the draws of units.
+    N itself gets its ``is_probable_prime`` verdict only if neither
+    gcd(N, r) nor the first iteration splits it: a split proves N
+    composite at no cost. A prime N then raises ValueError, one draw and
+    one chain later. A proper power's base is tested before any draw, so a
+    prime power resolves with no iteration. ``rng`` drives only the draws
+    of units.
     """
     if rng is None:
         rng = random.Random()
@@ -308,6 +294,9 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     guess = guess_multiple(r, m, c)
     t, o = guess.t, guess.o
     budget = k if k is not None else default_iteration_cap(m)
+    g = math.gcd(N, r)  # p | r for most p with p^2 | N
+    if 1 < g < N:
+        fs.add_factor(g)
 
     iterations = 0
     gcd_calls = 0
@@ -317,18 +306,19 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
             break
         iterations += 1
         x = sample_unit(N, rng, exclude_one=True, on_factor=fs.add_factor)
-        parts = (N,) if N in fs._values else fs.unresolved_parts()
-        for modulus in parts:
-            u = pow(x % modulus, o, modulus)
+        moduli = ((N,) if N in fs._values
+                  else [w for w, prime in fs.entries if not prime])
+        for w in moduli:
+            u = pow(x % w, o, w)
             for i in range(t + 1):
                 if u == 1:
-                    break  # the chain stays 1; gcd would be the full modulus
-                d = math.gcd(u - 1, modulus)
+                    break  # the chain stays 1; gcd would be w itself
+                d = math.gcd(u - 1, w)
                 gcd_calls += 1
-                if 1 < d < modulus:
+                if 1 < d < w:
                     fs.add_factor(d)
                 if i < t:
-                    u = u * u % modulus
+                    u = u * u % w
     if fs.factorization.pairs == ((N, 1),):
         raise _PrimeInputError("N is prime; nothing to factor")
     return RecoveryResult(fs.complete, fs.factorization, iterations,
@@ -392,8 +382,8 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
     Pre-processing strips primes up to ``TRIAL_DIVISION_BOUND`` by trial
     division, and the core left goes to ``recover_factors``, whose factor
     set gives the one primality verdict on it, after the first chain if
-    that chain leaves it whole: a prime core is then done, and a prime
-    power resolves with no iteration. The order of any unit
+    gcd(core, r) and that chain leave it whole: a prime core is then done,
+    and a prime power resolves with no iteration. The order of any unit
     modulo a divisor of N divides r, so r stays valid for the core. The
     result lists every prime found with its multiplicity in N; its counters
     and ``guess`` come from ``recover_factors``, if it ran on a composite

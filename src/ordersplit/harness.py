@@ -28,6 +28,7 @@ from ordersplit.engine import (
     shor_split,
     theoretical_failure_bound,
 )
+from ordersplit.ntcore import MAX_SIEVE_BOUND
 from ordersplit.oracle import (
     MAX_SMOOTH_BOUND,
     InfeasibleParametersError,
@@ -97,6 +98,14 @@ class ExperimentConfig:
             raise ValueError("trials_per_cell must be >= 1")
         if self.c < 1:
             raise ValueError("c must be >= 1")
+        # no N in the grid is longer than l * n * e_max bits; an empty or
+        # negative grid list runs no trial
+        m_prime = self.c * math.prod(max((0, *getattr(self, key)))
+                                     for key in _GRID_FIELDS)
+        if m_prime > MAX_SIEVE_BOUND:
+            raise ValueError(
+                f"c={self.c} is too large: the smoothness bound c * max(l) "
+                f"* max(n) * max(e_max) = {m_prime} exceeds {MAX_SIEVE_BOUND}")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1 when fixed")
         if not 2 <= self.B_s <= MAX_SMOOTH_BOUND:

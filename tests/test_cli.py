@@ -269,6 +269,18 @@ class TestExperimentCommand:
         assert "B_s" in err and "Traceback" not in err
         assert out == ""
 
+    def test_exponent_growth_above_the_sieve_limit(self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "l_values": [8], "n_values": [2], "emax_values": [1],
+            "trials_per_cell": 1, "c": 10**8, "order_mode": "exact"}))
+        code, out, err = run_cli(capsys, "experiment", "--config",
+                                 str(config_path), "--out",
+                                 str(tmp_path / "out"))
+        assert code == EXIT_USAGE
+        assert "c=100000000" in err and "Traceback" not in err
+        assert out == ""
+
     def test_config_not_an_object(self, capsys, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps([1, 2]))

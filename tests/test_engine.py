@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -169,18 +170,17 @@ class TestFactorSet:
         assert not fs.add_factor(45)
         assert fs.entries == ((15, False),)
 
-    def test_unresolved_parts(self):
+    def test_composite_entries(self):
         target = 21**2 * 143
         fs = FactorSet(target, entries=(target,))
-        assert fs.unresolved_parts() == (target,)
+        assert fs.entries == ((target, False),)
         fs.add_factor(21)
         assert fs.entries == ((21, False), (143, False))
-        assert sorted(fs.unresolved_parts()) == [143, 441]  # 3^2 * 7^2
         fs.add_factor(11)
-        assert fs.unresolved_parts() == (441,)
+        assert fs.entries == ((11, True), (13, True), (21, False))
         fs.add_factor(3)
         assert fs.complete
-        assert fs.unresolved_parts() == ()
+        assert fs.entries == ((3, True), (7, True), (11, True), (13, True))
 
     def test_random_insert_sequences_keep_invariants(self):
         rng = random.Random(4)
@@ -247,11 +247,13 @@ class TestFactorization:
         assert Factorization(((3, 2), (5, 1))).product() == 45
 
 
-def _product_modulus_reference(N, r, *, k, rng):
-    """recover_factors with one chain per iteration modulo the product of
-    all unresolved parts: N over its confirmed prime powers. Returns
-    (complete, factorization, iterations)."""
+def _single_chain_reference(N, r, *, k, rng):
+    """recover_factors in the paper's form: gcd(N, r) goes into the factor
+    set first, then each iteration walks one chain modulo N and takes the
+    gcd of each value with every composite entry, as read after the draw.
+    Returns (complete, factorization, iterations)."""
     fs = FactorSet(N, entries=(N,))
+    fs.add_factor(math.gcd(N, r))
     m = N.bit_length()
     guess = guess_multiple(r, m)
     t, o = guess.t, guess.o
@@ -262,23 +264,29 @@ def _product_modulus_reference(N, r, *, k, rng):
             break
         iterations += 1
         x = sample_unit(N, rng, exclude_one=True, on_factor=fs.add_factor)
-        if fs.complete:
-            break
-        modulus = N // fs.factorization.product()
-        u = pow(x % modulus, o, modulus)
+        composite = [w for w, prime in fs.entries if not prime]
+        u = pow(x, o, N)
         for i in range(t + 1):
-            if u == 1:
-                break
-            d = math.gcd(u - 1, modulus)
-            if 1 < d < modulus:
-                fs.add_factor(d)
-                if fs.complete:
-                    break
+            for w in composite:
+                d = math.gcd(u - 1, w)
+                if 1 < d < w:
+                    fs.add_factor(d)
             if i < t:
-                u = u * u % modulus
-        if fs.complete:
-            break
+                u = u * u % N
     return fs.complete, fs.factorization, iterations
+
+
+def _assert_matches_reference(N, r, *, k, seed):
+    """Run recover_factors and the reference from one seed; they must give
+    the same (complete, factorization, iterations) and end in the same rng
+    state. Returns the result."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    result = recover_factors(N, r, k=k, rng=ours)
+    expected = _single_chain_reference(N, r, k=k, rng=theirs)
+    assert (result.complete, result.factorization,
+            result.iterations) == expected, (N, r, k)
+    assert ours.getstate() == theirs.getstate()
+    return result
 
 
 class TestRecoverFactors:
@@ -345,7 +353,7 @@ class TestRecoverFactors:
             expected = tuple(sorted(trial_division_factorization(n).items()))
             assert result.factorization.pairs == expected, n
 
-    def test_matches_product_modulus_reference(self):
+    def test_matches_single_chain_reference(self):
         master = random.Random(7)
         cases = [generate_instance(master.choice((8, 10, 12)),
                                    master.choice((2, 4, 6)),
@@ -362,16 +370,61 @@ class TestRecoverFactors:
             r = exact_order(inst, g).order
             # r = 1 covers only the primes p with p - 1 smooth: partial splits
             r, k = master.choice(((r, None), (r, 1), (1, None), (1, 3)))
-            seed = master.randrange(2**32)
-            ours, theirs = random.Random(seed), random.Random(seed)
-            result = recover_factors(inst.modulus, r, k=k, rng=ours)
-            expected = _product_modulus_reference(inst.modulus, r, k=k,
-                                                  rng=theirs)
-            assert (result.complete, result.factorization,
-                    result.iterations) == expected, inst
-            assert ours.getstate() == theirs.getstate()
+            result = _assert_matches_reference(inst.modulus, r, k=k,
+                                               seed=master.randrange(2**32))
             incomplete += not result.complete
         assert 0 < incomplete < len(cases)
+
+    @pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
+                        reason="long-mode reference check; "
+                               "set ORDERSPLIT_LONG=1")
+    def test_matches_single_chain_reference_long_mode(self):
+        master = random.Random(17)
+        incomplete = 0
+        for _ in range(4000):
+            inst = generate_instance(master.choice((8, 10, 12)),
+                                     master.randint(2, 6),
+                                     master.randint(1, 4), master)
+            g = sample_unit(inst.modulus, master, exclude_one=True)
+            r = master.choice((exact_order(inst, g).order, 1))
+            k = master.choice((None, 1, 3))
+            result = _assert_matches_reference(inst.modulus, r, k=k,
+                                               seed=master.randrange(2**32))
+            incomplete += not result.complete
+        assert 0 < incomplete < 4000
+
+    def test_order_multiple_of_N_matches_reference(self):
+        # gcd(N, r) = N splits nothing, so the first chain runs modulo N
+        master = random.Random(11)
+        for _ in range(40):
+            inst = generate_instance(master.choice((8, 10)),
+                                     master.choice((2, 3)),
+                                     master.choice((1, 2)), master)
+            g = sample_unit(inst.modulus, master, exclude_one=True)
+            r = inst.modulus * exact_order(inst, g).order
+            result = _assert_matches_reference(inst.modulus, r, k=None,
+                                               seed=master.randrange(2**32))
+            assert result.complete
+
+    def test_repeated_prime_dividing_r_splits_before_any_draw(self):
+        master = random.Random(12)
+        runs = 0
+        while runs < 10:
+            p, q = generate_instance(16, 2, 1, master).primes
+            inst = Instance.from_parts((p, q), (2, 1))
+            g = sample_unit(inst.modulus, master, exclude_one=True)
+            r = exact_order(inst, g).order
+            if r % p:
+                continue  # g^(p-1) = 1 mod p^2: probability 1/p
+            rng = random.Random(runs)
+            state = rng.getstate()
+            result = recover_factors(inst.modulus, r, rng=rng)
+            assert result.complete
+            assert result.factorization.pairs == tuple(sorted(
+                ((p, 2), (q, 1))))
+            assert (result.iterations, result.gcd_calls) == (0, 0)
+            assert rng.getstate() == state
+            runs += 1
 
     def test_incomplete_run_lists_true_prime_powers(self):
         rng = random.Random(3)

@@ -44,6 +44,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _config(B_s=1)
 
+    def test_smoothness_bound_limit_names_c(self):
+        # the longest N has 10 * 2 * 1 = 20 bits, so c may reach 5 * 10^6
+        _config(c=5 * 10**6)
+        with pytest.raises(ValueError, match="c=5000001"):
+            _config(c=5 * 10**6 + 1)
+        with pytest.raises(ValueError, match="c=1000000"):
+            _config(c=10**6, n_values=(2, 5), emax_values=(3, 1))
+        _config(c=10**9, l_values=())  # an empty grid runs no trial
+        _config(c=10**9, n_values=(-2,), emax_values=(-1,))  # nor this one
+
     def test_dict_round_trip(self):
         config = _config(k=3)
         again = ExperimentConfig.from_dict(config.to_dict())
