@@ -9,6 +9,7 @@ environment variable when the flag is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -83,7 +84,10 @@ def _resolve_seed(flag_value):
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by later ones:
+    each parse fills a fresh namespace, so no call sees another's flags."""
     parser = _Parser(prog="ordersplit",
                      description="Factor integers completely from the "
                                  "multiplicative order of one random unit.")

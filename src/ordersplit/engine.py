@@ -6,10 +6,12 @@ It then grows r into r' by multiplying on every prime power up to a
 smoothness bound m' = c * bitlen(N), splits r' = 2^t * o with o odd, and
 repeatedly draws random units x, walking the squaring chain x^o, x^(2o),
 ..., x^(2^t o) and taking gcds of (chain value - 1) with each composite
-factor found so far. Each composite factor gets its own chain, modulo
-itself, so ``gcd_calls`` counts one gcd per composite factor per chain
-step. Each nontrivial gcd refines a set of pairwise coprime factors until
-the set consists of primes whose powers reconstruct N.
+factor found so far. Each composite factor gets its own chains, modulo
+itself, so ``gcd_calls`` counts one gcd per chain step. The engine walks
+each chain in two legs: first with the odd part of r in place of o, then
+with o itself, but only modulo the pieces of the factor that the first
+leg left composite. Each nontrivial gcd refines a set of pairwise coprime
+factors until the set consists of primes whose powers reconstruct N.
 
 The classic split gcd(g^(r/2) +- 1, N) is included as a baseline, together
 with the iteration-count rule and the theoretical failure bound used by the
@@ -206,6 +208,10 @@ class FactorSet:
         self._insert(d)
         return True
 
+    def __contains__(self, value: int) -> bool:
+        """Whether value is an entry now; runs no primality test."""
+        return value in self._values
+
     @property
     def entries(self) -> tuple[tuple[int, bool], ...]:
         return tuple(sorted(self._verdicts().items()))
@@ -245,6 +251,23 @@ class _PrimeInputError(ValueError):
     """recover_factors was given a prime N; factor_with_order catches it."""
 
 
+def _walk_chain(u: int, t: int, w: int, fs: FactorSet) -> int:
+    """Feed each nontrivial gcd(u^(2^i) - 1, w), i = 0..t, into fs.
+
+    Stops once the chain reaches 1, where every later gcd would be w
+    itself. Returns the number of gcds taken.
+    """
+    for i in range(t + 1):
+        if u == 1:
+            return i
+        d = math.gcd(u - 1, w)
+        if 1 < d < w:
+            fs.add_factor(d)
+        if i < t:
+            u = u * u % w
+    return t + 1
+
+
 def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
                     rng: random.Random | None = None) -> RecoveryResult:
     """Completely factor odd composite N given a multiple r of a unit's order.
@@ -255,14 +278,21 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     p^e, which holds with probability p^-(e-1), so this gcd splits off
     most repeated primes at no modexp cost. Then, with r' = 2^t * o from
     ``guess_multiple``, each iteration draws x uniformly from the units
-    mod N (excluding 1) and walks one chain per composite entry w of the
-    factor set, modulo w itself: u_0 = x^o and u_i = u_{i-1}^2 mod w,
-    feeding every nontrivial gcd(u_i - 1, w) into the factor set. By the
-    CRT, gcd(u_i - 1, w) equals the gcd of w with the i-th value of one
-    chain modulo N, so the splits are those of the single-chain form, at a
-    fraction of its modexp cost. ``gcd_calls`` counts one gcd per entry
-    per chain step. Non-unit draws with a nontrivial gcd are exploited as
-    free factors.
+    mod N (excluding 1) and walks chains per composite entry w of the
+    factor set, modulo w itself: u_0 = x^e and u_i = u_{i-1}^2 mod w for
+    i <= t, feeding every nontrivial gcd(u_i - 1, w) into the factor set.
+    Each entry gets two legs. The first takes e = o_r, the odd part of r,
+    and then y = x^o_r mod w. The second takes e = o, as y^(o / o_r), and
+    runs modulo each piece of w that is still composite: w itself if the
+    first leg did not split it, else the pieces found composite when
+    their verdicts are read. The odd part o / o_r of the smooth multiplier
+    is most of o, and it is skipped whenever r alone splits w into primes.
+    A prime piece cannot split again, so for the same draws each
+    iteration's factor set refines that of the paper's one chain x^o modulo
+    N, taken against every composite entry: the run completes no later,
+    draws no more units and lists only true prime powers. ``gcd_calls``
+    counts one gcd per chain step. Non-unit draws with a nontrivial gcd
+    are exploited as free factors.
 
     With ``k`` fixed, up to k iterations run; with k=None the loop runs
     until the factorization is complete, capped at
@@ -276,8 +306,8 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     N itself gets its ``is_probable_prime`` verdict only if neither
     gcd(N, r) nor the first iteration splits it: a split proves N
     composite at no cost. A prime N then raises ValueError, one draw and
-    one chain later. A proper power's base is tested before any draw, so a
-    prime power resolves with no iteration. ``rng`` drives only the draws
+    its two legs later. A proper power's base is tested before any draw,
+    so a prime power resolves with no iteration. ``rng`` drives only the draws
     of units.
     """
     if rng is None:
@@ -298,27 +328,26 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     if 1 < g < N:
         fs.add_factor(g)
 
+    o_r = split_two_adic(r)[1]
+    o_m = o // o_r  # the odd part of the smooth multiplier
     iterations = 0
     gcd_calls = 0
     while iterations < budget:
-        # the set is read only here; N itself waits for the first chain
-        if (iterations or N not in fs._values) and fs.complete:
+        # the set is read only here; N itself waits for the first iteration
+        if (iterations or N not in fs) and fs.complete:
             break
         iterations += 1
         x = sample_unit(N, rng, exclude_one=True, on_factor=fs.add_factor)
-        moduli = ((N,) if N in fs._values
+        moduli = ((N,) if N in fs
                   else [w for w, prime in fs.entries if not prime])
         for w in moduli:
-            u = pow(x % w, o, w)
-            for i in range(t + 1):
-                if u == 1:
-                    break  # the chain stays 1; gcd would be w itself
-                d = math.gcd(u - 1, w)
-                gcd_calls += 1
-                if 1 < d < w:
-                    fs.add_factor(d)
-                if i < t:
-                    u = u * u % w
+            y = pow(x % w, o_r, w)
+            gcd_calls += _walk_chain(y, t, w, fs)
+            # w unsplit keeps its verdict, or still has none if it is N
+            pieces = ([w] if w in fs else [v for v, prime in fs.entries
+                                           if not prime and w % v == 0])
+            for v in pieces:
+                gcd_calls += _walk_chain(pow(y % v, o_m, v), t, v, fs)
     if fs.factorization.pairs == ((N, 1),):
         raise _PrimeInputError("N is prime; nothing to factor")
     return RecoveryResult(fs.complete, fs.factorization, iterations,

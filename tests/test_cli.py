@@ -15,6 +15,7 @@ from ordersplit.cli import (
     EXIT_USAGE,
     main,
 )
+from ordersplit.engine import factor_with_order
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +319,26 @@ class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == EXIT_USAGE
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_parsed_state(self, capsys, monkeypatch):
+        seen_k = []
+
+        def spy(n, r, **kwargs):
+            seen_k.append(kwargs["k"])
+            return factor_with_order(n, r, **kwargs)
+
+        monkeypatch.setattr(cli, "factor_with_order", spy)
+        for extra in (["--k", "3"], []):
+            code, _, _ = run_cli(capsys, "factor", "--N", "143", "--r", "60",
+                                 "--seed", "1", *extra)
+            assert code == EXIT_OK
+        assert seen_k == [3, None]
+        code, out, _ = run_cli(capsys, "factor", "--N", "15", "--frobnicate")
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_module_entry_point(self):
         src = str(Path(ordersplit.__file__).resolve().parents[1])

@@ -247,16 +247,27 @@ class TestFactorization:
         assert Factorization(((3, 2), (5, 1))).product() == 45
 
 
-def _single_chain_reference(N, r, *, k, rng):
-    """recover_factors in the paper's form: gcd(N, r) goes into the factor
-    set first, then each iteration walks one chain modulo N and takes the
-    gcd of each value with every composite entry, as read after the draw.
-    Returns (complete, factorization, iterations)."""
+def _paper_legs(N, r):
+    """The paper's form: one chain from x^o, with r' = 2^t * o."""
+    return (guess_multiple(r, N.bit_length()).o,)
+
+
+def _engine_legs(N, r):
+    """recover_factors' form: a chain from x^o_r, o_r the odd part of r,
+    then one from x^o."""
+    return (split_two_adic(r)[1], guess_multiple(r, N.bit_length()).o)
+
+
+def _single_chain_reference(N, r, legs, *, k, rng):
+    """recover_factors with its chains walked modulo N: gcd(N, r) goes into
+    the factor set first, then each iteration walks one chain modulo N per
+    exponent e in legs, from x^e, and takes the gcd of each value with
+    every composite entry, as read before that leg. Returns (complete,
+    factorization, iterations)."""
     fs = FactorSet(N, entries=(N,))
     fs.add_factor(math.gcd(N, r))
     m = N.bit_length()
-    guess = guess_multiple(r, m)
-    t, o = guess.t, guess.o
+    t = guess_multiple(r, m).t
     budget = k if k is not None else engine.default_iteration_cap(m)
     iterations = 0
     for _ in range(budget):
@@ -264,29 +275,83 @@ def _single_chain_reference(N, r, *, k, rng):
             break
         iterations += 1
         x = sample_unit(N, rng, exclude_one=True, on_factor=fs.add_factor)
-        composite = [w for w, prime in fs.entries if not prime]
-        u = pow(x, o, N)
-        for i in range(t + 1):
-            for w in composite:
-                d = math.gcd(u - 1, w)
-                if 1 < d < w:
-                    fs.add_factor(d)
-            if i < t:
-                u = u * u % N
+        for e in legs:
+            composite = [w for w, prime in fs.entries if not prime]
+            u = pow(x, e, N)
+            for i in range(t + 1):
+                for w in composite:
+                    d = math.gcd(u - 1, w)
+                    if 1 < d < w:
+                        fs.add_factor(d)
+                if i < t:
+                    u = u * u % N
     return fs.complete, fs.factorization, iterations
 
 
 def _assert_matches_reference(N, r, *, k, seed):
-    """Run recover_factors and the reference from one seed; they must give
-    the same (complete, factorization, iterations) and end in the same rng
-    state. Returns the result."""
+    """Run recover_factors and the reference with the engine's legs from
+    one seed; they must give the same (complete, factorization,
+    iterations) and end in the same rng state. Returns the result."""
     ours, theirs = random.Random(seed), random.Random(seed)
     result = recover_factors(N, r, k=k, rng=ours)
-    expected = _single_chain_reference(N, r, k=k, rng=theirs)
+    expected = _single_chain_reference(N, r, _engine_legs(N, r), k=k,
+                                       rng=theirs)
     assert (result.complete, result.factorization,
             result.iterations) == expected, (N, r, k)
     assert ours.getstate() == theirs.getstate()
     return result
+
+
+def _assert_dominates_paper_reference(N, r, *, k, seed):
+    """Run recover_factors and the paper's one-leg reference from one seed:
+    ours completes whenever the reference does, in no more iterations, and
+    lists every prime power the reference lists."""
+    result = recover_factors(N, r, k=k, rng=random.Random(seed))
+    complete, factorization, iterations = _single_chain_reference(
+        N, r, _paper_legs(N, r), k=k, rng=random.Random(seed))
+    assert result.complete or not complete, (N, r, k)
+    assert result.iterations <= iterations, (N, r, k)
+    assert set(factorization.pairs) <= set(result.factorization.pairs)
+
+
+def _reference_cases():
+    """(N, r, k, seed) for the reference checks: 400 instances of 2-6
+    primes of 8-12 bits plus 40 cores that are powers of composites, or
+    close to them."""
+    master = random.Random(7)
+    cases = [generate_instance(master.choice((8, 10, 12)),
+                               master.choice((2, 4, 6)),
+                               master.choice((1, 2, 3)), master)
+             for _ in range(400)]
+    for exponents in ((2, 2), (3, 3), (2, 2, 1), (2, 2, 2), (1, 3, 3)):
+        for _ in range(8):
+            primes = generate_instance(10, len(exponents), 1, master).primes
+            cases.append(Instance.from_parts(primes, exponents))
+    for inst in cases:
+        g = sample_unit(inst.modulus, master, exclude_one=True)
+        r = exact_order(inst, g).order
+        # r = 1 covers only the primes p with p - 1 smooth: partial splits
+        r, k = master.choice(((r, None), (r, 1), (1, None), (1, 3)))
+        yield inst.modulus, r, k, master.randrange(2**32)
+
+
+def _long_mode_reference_cases():
+    """(N, r, k, seed) for the long-mode reference checks: 4000 instances
+    of 2-6 primes of 8-12 bits, with exponents up to 4."""
+    master = random.Random(17)
+    for _ in range(4000):
+        inst = generate_instance(master.choice((8, 10, 12)),
+                                 master.randint(2, 6),
+                                 master.randint(1, 4), master)
+        g = sample_unit(inst.modulus, master, exclude_one=True)
+        r = master.choice((exact_order(inst, g).order, 1))
+        k = master.choice((None, 1, 3))
+        yield inst.modulus, r, k, master.randrange(2**32)
+
+
+_LONG_MODE = pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
+                                reason="long-mode reference check; "
+                                       "set ORDERSPLIT_LONG=1")
 
 
 class TestRecoverFactors:
@@ -354,44 +419,52 @@ class TestRecoverFactors:
             assert result.factorization.pairs == expected, n
 
     def test_matches_single_chain_reference(self):
-        master = random.Random(7)
-        cases = [generate_instance(master.choice((8, 10, 12)),
-                                   master.choice((2, 4, 6)),
-                                   master.choice((1, 2, 3)), master)
-                 for _ in range(400)]
-        # cores that are powers of composites, or close to them
-        for exponents in ((2, 2), (3, 3), (2, 2, 1), (2, 2, 2), (1, 3, 3)):
-            for _ in range(8):
-                primes = generate_instance(10, len(exponents), 1, master).primes
-                cases.append(Instance.from_parts(primes, exponents))
-        incomplete = 0
-        for inst in cases:
-            g = sample_unit(inst.modulus, master, exclude_one=True)
-            r = exact_order(inst, g).order
-            # r = 1 covers only the primes p with p - 1 smooth: partial splits
-            r, k = master.choice(((r, None), (r, 1), (1, None), (1, 3)))
-            result = _assert_matches_reference(inst.modulus, r, k=k,
-                                               seed=master.randrange(2**32))
+        incomplete = total = 0
+        for N, r, k, seed in _reference_cases():
+            result = _assert_matches_reference(N, r, k=k, seed=seed)
             incomplete += not result.complete
-        assert 0 < incomplete < len(cases)
+            total += 1
+        assert 0 < incomplete < total
 
-    @pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
-                        reason="long-mode reference check; "
-                               "set ORDERSPLIT_LONG=1")
+    @_LONG_MODE
     def test_matches_single_chain_reference_long_mode(self):
-        master = random.Random(17)
         incomplete = 0
-        for _ in range(4000):
-            inst = generate_instance(master.choice((8, 10, 12)),
-                                     master.randint(2, 6),
-                                     master.randint(1, 4), master)
-            g = sample_unit(inst.modulus, master, exclude_one=True)
-            r = master.choice((exact_order(inst, g).order, 1))
-            k = master.choice((None, 1, 3))
-            result = _assert_matches_reference(inst.modulus, r, k=k,
-                                               seed=master.randrange(2**32))
+        for N, r, k, seed in _long_mode_reference_cases():
+            result = _assert_matches_reference(N, r, k=k, seed=seed)
             incomplete += not result.complete
         assert 0 < incomplete < 4000
+
+    def test_dominates_paper_reference(self):
+        for N, r, k, seed in _reference_cases():
+            _assert_dominates_paper_reference(N, r, k=k, seed=seed)
+
+    @_LONG_MODE
+    def test_dominates_paper_reference_long_mode(self):
+        for N, r, k, seed in _long_mode_reference_cases():
+            _assert_dominates_paper_reference(N, r, k=k, seed=seed)
+
+    def test_multiplier_leg_runs_only_on_composite_pieces(self, monkeypatch):
+        exponents = []
+
+        def spy(base, exp, mod):
+            exponents.append(exp)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(engine, "pow", spy, raising=False)
+        rng = random.Random(13)
+        inst = generate_instance(64, 2, 1, rng)
+        N = inst.modulus
+        # r = lcm(p - 1, q - 1): the first leg splits N = p * q into primes
+        # unless x has orders of one 2-adic valuation modulo p and q
+        r = math.lcm(*(p - 1 for p in inst.primes))
+        result = recover_factors(N, r, rng=random.Random(0))
+        assert result.complete and result.iterations == 1
+        assert exponents == [split_two_adic(r)[1]]
+        # r = 1: the first leg splits nothing, so the second runs modulo N
+        exponents.clear()
+        result = recover_factors(N, 1, k=1, rng=random.Random(0))
+        assert not result.complete
+        assert exponents == [1, guess_multiple(1, N.bit_length()).o]
 
     def test_order_multiple_of_N_matches_reference(self):
         # gcd(N, r) = N splits nothing, so the first chain runs modulo N
@@ -427,16 +500,24 @@ class TestRecoverFactors:
             runs += 1
 
     def test_incomplete_run_lists_true_prime_powers(self):
-        rng = random.Random(3)
-        inst = generate_instance(12, 3, 2, rng)
-        g = sample_unit(inst.modulus, rng, exclude_one=True)
-        r = exact_order(inst, g).order
-        result = recover_factors(inst.modulus, r, k=1, rng=rng)
-        assert not result.complete
+        # with r = 1 the grown exponent covers p - 1 but neither q_i - 1, so
+        # a draw splits off p^2 at most and leaves q1 * q2^2 whole
+        p = 420421  # 2^2 * 3 * 5 * 7^2 * 11 * 13 + 1
+        q1, q2 = 1048703, 2097779  # q - 1 = 2 * (a prime above 2^19)
+        assert all(map(is_probable_prime, (p, q1, q2, q1 // 2, q2 // 2)))
+        inst = Instance.from_parts((p, q1, q2), (2, 1, 2))
+        m = inst.modulus.bit_length()
+        assert guess_multiple(1, m).r_prime % (p - 1) == 0
         truth = set(zip(inst.primes, inst.exponents))
-        assert result.factorization.pairs
-        assert set(result.factorization.pairs) <= truth
-        assert inst.modulus % result.factorization.product() == 0
+        incomplete = 0
+        for seed in range(6):
+            result = recover_factors(inst.modulus, 1, k=1 + seed % 3,
+                                     rng=random.Random(seed))
+            assert set(result.factorization.pairs) <= truth
+            assert inst.modulus % result.factorization.product() == 0
+            incomplete += (not result.complete
+                           and bool(result.factorization.pairs))
+        assert incomplete
 
     def test_result_carries_the_grown_exponent(self):
         for n, r, c in ((143, 60, 1), (1001, 60, 2), (9, 6, 1)):
