@@ -30,10 +30,7 @@ from ordersplit.harness import (
     write_json,
 )
 from ordersplit.ntcore import (
-    eta,
-    integer_nth_root,
     is_probable_prime,
-    multiplicative_order,
     perfect_power_reduce,
     primes_up_to,
     small_prime_divisors,
@@ -64,14 +61,11 @@ __all__ = [
     "ShorOutcome",
     "cell_passes",
     "choose_k",
-    "eta",
     "exact_order",
     "factor_with_order",
     "generate_instance",
     "guess_multiple",
-    "integer_nth_root",
     "is_probable_prime",
-    "multiplicative_order",
     "perfect_power_reduce",
     "primes_up_to",
     "recover_factors",

@@ -27,7 +27,6 @@ from ordersplit.harness import (
 )
 from ordersplit.ntcore import MAX_SIEVE_BOUND
 from ordersplit.oracle import (
-    MAX_SMOOTH_BOUND,
     InfeasibleParametersError,
     exact_order,
     generate_instance,
@@ -52,36 +51,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_integer(text: str) -> int:
-    """Decimal, or hexadecimal with a 0x prefix."""
-    text = text.strip()
-    if text.lower().startswith("0x"):
-        return int(text, 16)
-    return int(text, 10)
+class _UsageError(Exception):
+    """A usage error no flag type can see; main exits 64 on it."""
+
+
+def _integer(low: int, high: int | None = None):
+    """argparse type for an integer flag in [low, high], written in decimal
+    or as 0x-hex."""
+    def parse(text: str) -> int:
+        text = text.strip()
+        try:
+            value = int(text, 16 if text.lower().startswith("0x") else 10)
+            str(value)  # a hex value past the int/str digit limit fails here
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if value < low or high is not None and value > high:
+            span = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+    return parse
 
 
 def _parse_k(text: str):
-    if text == "auto":
-        return None
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("--k takes an integer or 'auto'")
-    if k < 1:
-        raise argparse.ArgumentTypeError("--k must be >= 1")
-    return k
+    return None if text == "auto" else _integer(1)(text)
 
 
 def _resolve_seed(flag_value):
-    if flag_value is not None:
-        return flag_value
     env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return None
+    if flag_value is not None or env is None:
+        return flag_value
     try:
         return int(env)
     except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
 @functools.cache
@@ -95,12 +97,12 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p_factor = sub.add_parser("factor", help="factor N given an order r")
-    p_factor.add_argument("--N", required=True,
+    p_factor.add_argument("--N", type=_integer(3), required=True,
                           help="integer to factor (decimal, or 0x-hex)")
-    p_factor.add_argument("--r", required=True,
+    p_factor.add_argument("--r", type=_integer(1), required=True,
                           help="positive multiple of the order of a unit "
-                               "mod N (decimal)")
-    p_factor.add_argument("--c", type=int, default=1,
+                               "mod N (decimal, or 0x-hex)")
+    p_factor.add_argument("--c", type=_integer(1), default=1,
                           help="smoothness multiplier for the grown "
                                "exponent, with c * bitlen(N) at most "
                                f"{MAX_SIEVE_BOUND} (default 1)")
@@ -111,15 +113,16 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate",
                            help="generate an instance and find one order")
-    p_sim.add_argument("--l", type=int, required=True,
+    p_sim.add_argument("--l", type=_integer(3), required=True,
                        help="prime bit length")
     p_sim.add_argument("--n", type=int, required=True,
                        help="number of distinct primes")
     p_sim.add_argument("--emax", type=int, required=True,
                        help="maximum prime-power exponent")
-    p_sim.add_argument("--Bs", type=int, default=10**6,
+    p_sim.add_argument("--Bs", type=_integer(2, MAX_SIEVE_BOUND),
+                       default=10**6,
                        help="smoothness bound for heuristic order finding, "
-                            f"at most {MAX_SMOOTH_BOUND} (default 1000000)")
+                            f"at most {MAX_SIEVE_BOUND} (default 1000000)")
     p_sim.add_argument("--mode", choices=("exact", "heuristic"),
                        default="exact")
     p_sim.add_argument("--seed", type=int, default=None)
@@ -133,36 +136,22 @@ def build_parser() -> _Parser:
     p_base = sub.add_parser("baseline",
                             help="classic even-order split success rate on "
                                  "random semiprimes")
-    p_base.add_argument("--l", type=int, required=True)
-    p_base.add_argument("--trials", type=int, required=True)
+    p_base.add_argument("--l", type=_integer(3), required=True)
+    p_base.add_argument("--trials", type=_integer(1), required=True)
     p_base.add_argument("--seed", type=int, default=None)
     return parser
 
 
 def cmd_factor(args) -> int:
-    try:
-        n = _parse_integer(args.N)
-        n_text = str(n)  # a hex N past the int/str digit limit fails here
-        r = _parse_integer(args.r)
-        if n < 3:
-            raise ValueError("N must be >= 3")
-        if r < 1:
-            raise ValueError("r must be >= 1")
-        if args.c < 1:
-            raise ValueError("--c must be >= 1")
-        if args.c * n.bit_length() > MAX_SIEVE_BOUND:
-            # c * bitlen(N) is the sieve bound of the grown exponent
-            raise ValueError(f"--c times the bit length of N must be at "
-                             f"most {MAX_SIEVE_BOUND}, got "
-                             f"{args.c} * {n.bit_length()}")
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        print(f"ordersplit factor: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    outcome = factor_with_order(n, r, c=args.c, k=args.k,
-                                rng=random.Random(seed))
+    if args.c * args.N.bit_length() > MAX_SIEVE_BOUND:
+        # c * bitlen(N) is the sieve bound of the grown exponent
+        raise _UsageError(f"--c times the bit length of N must be at most "
+                          f"{MAX_SIEVE_BOUND}, got {args.c} * "
+                          f"{args.N.bit_length()}")
+    outcome = factor_with_order(args.N, args.r, c=args.c, k=args.k,
+                                rng=random.Random(_resolve_seed(args.seed)))
     print(json.dumps({
-        "N": n_text,
+        "N": str(args.N),
         "factors": [{"p": str(p), "e": e}
                     for p, e in outcome.factorization.pairs],
         "complete": outcome.complete,
@@ -172,24 +161,13 @@ def cmd_factor(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        seed = _resolve_seed(args.seed)
-        if not 2 <= args.Bs <= MAX_SMOOTH_BOUND:
-            raise ValueError(f"--Bs must be in [2, {MAX_SMOOTH_BOUND}]")
-    except ValueError as exc:
-        print(f"ordersplit simulate: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rng = random.Random(seed)
-    try:
-        instance = generate_instance(args.l, args.n, args.emax, rng)
-        if args.mode == "exact":
-            g = sample_unit(instance.modulus, rng, exclude_one=True)
-            result = exact_order(instance, g)
-        else:
-            result = simulate_order(instance, args.Bs, rng)
-    except InfeasibleParametersError as exc:
-        print(f"ordersplit simulate: error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    rng = random.Random(_resolve_seed(args.seed))
+    instance = generate_instance(args.l, args.n, args.emax, rng)
+    if args.mode == "exact":
+        g = sample_unit(instance.modulus, rng, exclude_one=True)
+        result = exact_order(instance, g)
+    else:
+        result = simulate_order(instance, args.Bs, rng)
     print(json.dumps({
         "instance": instance.to_json_dict(),
         "g": str(result.element),
@@ -202,11 +180,9 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     try:
         with open(args.config) as handle:
-            data = json.load(handle)
-        config = ExperimentConfig.from_dict(data)
+            config = ExperimentConfig.from_dict(json.load(handle))
     except (OSError, ValueError, TypeError) as exc:
-        print(f"ordersplit experiment: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports, summary = run_grid(config)
@@ -227,20 +203,10 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    try:
-        if args.trials < 1 or args.l < 3:
-            raise ValueError("need --trials >= 1 and --l >= 3")
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        print(f"ordersplit baseline: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    seed = _resolve_seed(args.seed)
     if seed is None:
         seed = random.randrange(2**63)
-    try:
-        report = run_shor_baseline_cell(args.l, args.trials, seed)
-    except InfeasibleParametersError as exc:
-        print(f"ordersplit baseline: error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    report = run_shor_baseline_cell(args.l, args.trials, seed)
     print(json.dumps({
         "l": report.l,
         "trials": report.trials,
@@ -252,18 +218,24 @@ def cmd_baseline(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+    """Run one command. The only place that turns a usage error (64) or
+    infeasible parameters (65) into an exit code; argparse's own errors
+    exit 64 through _Parser.error."""
     handlers = {
         "factor": cmd_factor,
         "simulate": cmd_simulate,
         "experiment": cmd_experiment,
         "baseline": cmd_baseline,
     }
-    return handlers[args.command](args)
+    try:
+        args = build_parser().parse_args(argv)
+        return handlers[args.command](args)
+    except SystemExit as exc:
+        return exc.code if exc.code is not None else EXIT_USAGE
+    except (_UsageError, InfeasibleParametersError) as exc:
+        print(f"ordersplit {args.command}: error: {exc}", file=sys.stderr)
+        return (EXIT_USAGE if isinstance(exc, _UsageError)
+                else EXIT_INFEASIBLE)
 
 
 def run() -> None:

@@ -199,14 +199,17 @@ class FactorSet:
     def add_factor(self, d: int) -> bool:
         """Merge a nontrivial divisor d of the target into the set.
 
-        Returns False (no-op) when d is not a divisor with 1 < d < target.
+        Returns True when the set gains an entry. Returns False when d is
+        not a divisor with 1 < d < target (a no-op), and when the entries
+        already split on d, as for a d found again by a later chain step.
         """
         if d <= 1 or d >= self.target or self.target % d != 0:
             logger.debug("rejected %d: not a nontrivial divisor of %d",
                          d, self.target)
             return False
+        size = len(self._values)
         self._insert(d)
-        return True
+        return len(self._values) > size
 
     def __contains__(self, value: int) -> bool:
         """Whether value is an entry now; runs no primality test."""
@@ -422,6 +425,10 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
         raise ValueError("N must be >= 3")
     if r < 1:
         raise ValueError("r must be >= 1")
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1 when fixed")
     if rng is None:
         rng = random.Random()
     found = set(small_prime_divisors(N, TRIAL_DIVISION_BOUND))

@@ -30,7 +30,6 @@ from ordersplit.engine import (
 )
 from ordersplit.ntcore import MAX_SIEVE_BOUND
 from ordersplit.oracle import (
-    MAX_SMOOTH_BOUND,
     InfeasibleParametersError,
     Instance,
     exact_order,
@@ -52,8 +51,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-EXACT_ORDER_BIT_LIMIT = 64  # factoring p-1 beyond this is not desk-scale
 
 CSV_COLUMNS = [
     "l", "n", "e_max", "c", "k_policy", "B_s", "trials", "successes",
@@ -108,8 +105,8 @@ class ExperimentConfig:
                 f"* max(n) * max(e_max) = {m_prime} exceeds {MAX_SIEVE_BOUND}")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1 when fixed")
-        if not 2 <= self.B_s <= MAX_SMOOTH_BOUND:
-            raise ValueError(f"B_s must be in [2, {MAX_SMOOTH_BOUND}], "
+        if not 2 <= self.B_s <= MAX_SIEVE_BOUND:
+            raise ValueError(f"B_s must be in [2, {MAX_SIEVE_BOUND}], "
                              f"got {self.B_s}")
         if self.order_mode not in ("exact", "simulate"):
             raise ValueError("order_mode must be 'exact' or 'simulate'")
@@ -207,9 +204,6 @@ def run_cell(l: int, n: int, e_max: int, config: ExperimentConfig,
     whose p - 1 the grown exponent missed, and reported to ``on_failure``
     when given.
     """
-    if config.order_mode == "exact" and l > EXACT_ORDER_BIT_LIMIT:
-        raise InfeasibleParametersError(
-            f"exact order finding is limited to l <= {EXACT_ORDER_BIT_LIMIT}")
     start = time.perf_counter()
     successes = 0
     sum_iterations = 0

@@ -206,9 +206,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False  # gcd(D, n) > 1 and |D| < n
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
-    m = n + 1
-    s = (m & -m).bit_length() - 1
-    d = m >> s
+    s, d = split_two_adic(n + 1)
     h = d >> 1
     Pw = (pow(Q, -1, n) - 2) % n  # P' for P = 1
     # (W_j, W_(j+1)) for j = 0, then j = 2j or 2j + 1 per bit of h

@@ -12,7 +12,6 @@ bound.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -86,9 +85,6 @@ class Instance:
             "N": str(self.modulus),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Instance":
         inst = cls.from_parts([int(p) for p in data["primes"]],
@@ -97,10 +93,6 @@ class Instance:
             raise ValueError("N field disagrees with the prime powers")
         inst.validate()
         return inst
-
-    @classmethod
-    def from_json(cls, text: str) -> "Instance":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -114,22 +106,18 @@ class OrderResult:
 
 @lru_cache(maxsize=64)
 def _odd_prime_count(bits: int) -> int:
-    """Exact number of odd primes with the given bit length (bits <= 20)."""
+    """Exact number of odd primes with the given bit length, 3 <= bits <= 20."""
     primes = primes_up_to((1 << bits) - 1)
     lo = bisect.bisect_left(primes, 1 << (bits - 1))
-    count = len(primes) - lo
-    if bits == 2:  # exclude 2, the only even prime
-        count -= 1
-    return count
+    return len(primes) - lo
 
 
 # The odd primes <= 2000: the gcd of a sampler candidate with their
 # product is its small-factor part (about 85% of odd candidates have one).
 _SMALL_ODD_PRIMES_PRODUCT = math.prod(primes_up_to(2000)[1:])
 _SAMPLER_ROUNDS = 64
-# The largest smoothness bound simulate_order takes, the largest sieve:
-# at 10^8 a heuristic `ordersplit simulate` peaks near 375 MiB.
-MAX_SMOOTH_BOUND = MAX_SIEVE_BOUND
+# exact_order factors p - 1 by trial division and rho: desk-scale primes only
+EXACT_ORDER_BIT_LIMIT = 64
 
 
 def _skip_randrange(rng: random.Random, start: int, stop: int,
@@ -319,8 +307,13 @@ def exact_order(instance: Instance, g: int) -> OrderResult:
     For each prime power p^e of the instance, phi(p^e) = p^(e-1)(p-1) is
     fully factored (trial division, then Pollard rho) and the component
     order of g is computed exactly; the order modulo N is their lcm. Only
-    practical while each p - 1 can be factored, so desk-scale primes.
+    practical while each p - 1 can be factored, so desk-scale primes: any
+    prime over EXACT_ORDER_BIT_LIMIT bits raises InfeasibleParametersError.
     """
+    if max(instance.primes).bit_length() > EXACT_ORDER_BIT_LIMIT:
+        raise InfeasibleParametersError(
+            f"exact order finding is limited to primes of at most "
+            f"{EXACT_ORDER_BIT_LIMIT} bits")
     if math.gcd(g, instance.modulus) != 1:
         raise ValueError(f"{g} is not a unit modulo {instance.modulus}")
     order = 1
@@ -363,10 +356,11 @@ def simulate_order(instance: Instance, smooth_bound: int,
     the power stays 1, and g is assembled by Chinese remaindering. The
     returned order is always a positive multiple of the true order of g;
     any excess has only prime factors above smooth_bound, which must lie
-    in [2, MAX_SMOOTH_BOUND].
+    in [2, MAX_SIEVE_BOUND]: at 10^8 a heuristic `ordersplit simulate`
+    peaks near 375 MiB.
     """
-    if not 2 <= smooth_bound <= MAX_SMOOTH_BOUND:
-        raise ValueError(f"smooth_bound must be in [2, {MAX_SMOOTH_BOUND}]")
+    if not 2 <= smooth_bound <= MAX_SIEVE_BOUND:
+        raise ValueError(f"smooth_bound must be in [2, {MAX_SIEVE_BOUND}]")
     residues: list[int] = []
     moduli: list[int] = []
     order = 1

@@ -306,6 +306,36 @@ class TestBaselineCommand:
         assert code == EXIT_USAGE
 
 
+class TestIntegerFlags:
+    def test_hex_order(self, capsys):
+        code, out, _ = run_cli(capsys, "factor", "--N", "15", "--r", "0x3c",
+                               "--seed", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["complete"] is True
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--r", ["factor", "--N", "15", "--r", "0"]),
+        ("--c", ["factor", "--N", "15", "--r", "4", "--c", "0"]),
+        ("--Bs", ["simulate", "--l", "8", "--n", "2", "--emax", "1",
+                  "--mode", "heuristic", "--Bs", "1"]),
+        ("--l", ["baseline", "--l", "2", "--trials", "1"]),
+    ], ids=["r", "c", "Bs", "l"])
+    def test_out_of_range_is_a_usage_error(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "1")
+        assert code == EXIT_USAGE
+        assert out == "" and f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["baseline", "--l", "65", "--trials", "1"],
+        ["simulate", "--l", "65", "--n", "2", "--emax", "1"],
+    ], ids=["baseline", "simulate"])
+    def test_exact_order_past_64_bits_is_infeasible(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "1")
+        assert code == EXIT_INFEASIBLE
+        assert out == "" and "64 bits" in err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "conjure")

@@ -162,6 +162,14 @@ class TestFactorSet:
         assert fs.complete
         assert fs.factorization.pairs == ((3, 2), (5, 2))
 
+    def test_add_factor_reports_a_new_entry_only(self):
+        fs = FactorSet(105, entries=(105,))
+        assert fs.add_factor(15)  # 105 -> 15, 7
+        assert not fs.add_factor(15)  # the same divisor again
+        assert fs.add_factor(3)  # 15 -> 3, 5
+        assert not fs.add_factor(21)  # 3 * 7: a product of entries
+        assert fs.entries == ((3, True), (5, True), (7, True))
+
     def test_rejects_non_divisors(self):
         fs = FactorSet(15, entries=(15,))
         assert not fs.add_factor(7)
@@ -734,6 +742,12 @@ class TestFactorWithOrder:
             factor_with_order(2, 1)
         with pytest.raises(ValueError):
             factor_with_order(15, 0)
+
+    @pytest.mark.parametrize("N", [15, P * Q], ids=["trial-division", "engine"])
+    @pytest.mark.parametrize("kwargs", [{"c": 0}, {"k": 0}], ids=["c", "k"])
+    def test_checks_c_and_k_before_trial_division(self, N, kwargs):
+        with pytest.raises(ValueError):
+            factor_with_order(N, 4, **kwargs)
 
 
 def _assert_never_wrong(N, result, truth):

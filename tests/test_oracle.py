@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import brute_force_order, trial_division_factorization
+from ordersplit import oracle
 from ordersplit.harness import _trial_rng
 from ordersplit.ntcore import _sieve, _strong_probable_prime, primes_up_to
 from ordersplit.oracle import (
@@ -42,22 +43,23 @@ class TestInstance:
 
     def test_json_round_trip(self):
         inst = Instance.from_parts([11, 13], [2, 1])
-        again = Instance.from_json(inst.to_json())
+        text = json.dumps(inst.to_json_dict())
+        again = Instance.from_json_dict(json.loads(text))
         assert again == inst
-        data = json.loads(inst.to_json())
+        data = json.loads(text)
         assert data["primes"] == ["11", "13"]
         assert data["exponents"] == [2, 1]
         assert data["N"] == str(11 * 11 * 13)
 
     def test_json_rejects_inconsistent_modulus(self):
         with pytest.raises(ValueError):
-            Instance.from_json(
-                '{"primes": ["11", "13"], "exponents": [1, 1], "N": "144"}')
+            Instance.from_json_dict(json.loads(
+                '{"primes": ["11", "13"], "exponents": [1, 1], "N": "144"}'))
 
     def test_json_rejects_composite_prime(self):
         with pytest.raises(ValueError):
-            Instance.from_json(
-                '{"primes": ["9", "13"], "exponents": [1, 1], "N": "117"}')
+            Instance.from_json_dict(json.loads(
+                '{"primes": ["9", "13"], "exponents": [1, 1], "N": "117"}'))
 
 
 class TestGenerateInstance:
@@ -330,6 +332,15 @@ class TestExactOrder:
         inst = Instance.from_parts([3, 5], [1, 1])
         with pytest.raises(ValueError):
             exact_order(inst, 5)
+
+    def test_refuses_primes_over_64_bits(self, monkeypatch):
+        p64 = 2**64 - 59  # the largest 64-bit prime: still exact
+        inst = Instance.from_parts([3, p64], [1, 1])
+        r = exact_order(inst, 2).order
+        assert pow(2, r, inst.modulus) == 1
+        monkeypatch.setattr(oracle, "_factor_completely", None)
+        with pytest.raises(InfeasibleParametersError):
+            exact_order(Instance.from_parts([3, 2**89 - 1], [1, 1]), 2)
 
 
 def _reduce_by_per_prime_loop(g, prime_power, phi, smooth_bound):
