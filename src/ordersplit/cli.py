@@ -77,9 +77,11 @@ def _parse_k(text: str):
 
 
 def _resolve_seed(flag_value):
-    env = os.environ.get(SEED_ENV_VAR)
-    if flag_value is not None or env is None:
+    if flag_value is not None:
         return flag_value
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is None:
+        return None
     try:
         return int(env)
     except ValueError:
@@ -97,6 +99,7 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p_factor = sub.add_parser("factor", help="factor N given an order r")
+    p_factor.set_defaults(run=cmd_factor)
     p_factor.add_argument("--N", type=_integer(3), required=True,
                           help="integer to factor (decimal, or 0x-hex)")
     p_factor.add_argument("--r", type=_integer(1), required=True,
@@ -113,6 +116,7 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate",
                            help="generate an instance and find one order")
+    p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("--l", type=_integer(3), required=True,
                        help="prime bit length")
     p_sim.add_argument("--n", type=int, required=True,
@@ -128,6 +132,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=None)
 
     p_exp = sub.add_parser("experiment", help="run a Monte-Carlo grid")
+    p_exp.set_defaults(run=cmd_experiment)
     p_exp.add_argument("--config", required=True,
                        help="JSON file mirroring the experiment config")
     p_exp.add_argument("--out", default=".",
@@ -136,6 +141,7 @@ def build_parser() -> _Parser:
     p_base = sub.add_parser("baseline",
                             help="classic even-order split success rate on "
                                  "random semiprimes")
+    p_base.set_defaults(run=cmd_baseline)
     p_base.add_argument("--l", type=_integer(3), required=True)
     p_base.add_argument("--trials", type=_integer(1), required=True)
     p_base.add_argument("--seed", type=int, default=None)
@@ -180,7 +186,8 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     try:
         with open(args.config) as handle:
-            config = ExperimentConfig.from_dict(json.load(handle))
+            data = json.load(handle)
+        config = ExperimentConfig.from_dict(data)
     except (OSError, ValueError, TypeError) as exc:
         raise _UsageError(exc)
     out_dir = Path(args.out)
@@ -221,15 +228,9 @@ def main(argv=None) -> int:
     """Run one command. The only place that turns a usage error (64) or
     infeasible parameters (65) into an exit code; argparse's own errors
     exit 64 through _Parser.error."""
-    handlers = {
-        "factor": cmd_factor,
-        "simulate": cmd_simulate,
-        "experiment": cmd_experiment,
-        "baseline": cmd_baseline,
-    }
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     except (_UsageError, InfeasibleParametersError) as exc:
