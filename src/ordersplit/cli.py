@@ -28,6 +28,7 @@ from ordersplit.harness import (
 from ordersplit.ntcore import MAX_SIEVE_BOUND
 from ordersplit.oracle import (
     InfeasibleParametersError,
+    check_exact_order_bits,
     exact_order,
     generate_instance,
     sample_unit,
@@ -167,6 +168,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.mode == "exact":
+        check_exact_order_bits(args.l)
     rng = random.Random(_resolve_seed(args.seed))
     instance = generate_instance(args.l, args.n, args.emax, rng)
     if args.mode == "exact":

@@ -8,10 +8,10 @@ repeatedly draws random units x, walking the squaring chain x^o, x^(2o),
 ..., x^(2^t o) and taking gcds of (chain value - 1) with each composite
 factor found so far. Each composite factor gets its own chains, modulo
 itself, so ``gcd_calls`` counts one gcd per chain step. The engine walks
-each chain in two legs: first with the odd part of r in place of o, then
-with o itself, but only modulo the pieces of the factor that the first
-leg left composite. Each nontrivial gcd refines a set of pairwise coprime
-factors until the set consists of primes whose powers reconstruct N.
+each chain in two legs: first with r's odd part, less N's primes, in place
+of o, then on to o, only modulo the pieces left composite whose chain did
+not reach 1. Each nontrivial gcd refines a set of pairwise coprime factors
+until the set consists of primes whose powers reconstruct N.
 
 The classic split gcd(g^(r/2) +- 1, N) is included as a baseline, together
 with the iteration-count rule and the theoretical failure bound used by the
@@ -241,34 +241,30 @@ class RecoveryResult:
     guess: GuessedExponent | None
 
 
-def _ceil_log2(m: int) -> int:
-    return (m - 1).bit_length()
-
-
 def default_iteration_cap(m: int) -> int:
     """Iteration budget for run-until-complete mode: 64 * ceil(log2 m)."""
-    return 64 * _ceil_log2(m)
+    return 64 * (m - 1).bit_length()
 
 
 class _PrimeInputError(ValueError):
     """recover_factors was given a prime N; factor_with_order catches it."""
 
 
-def _walk_chain(u: int, t: int, w: int, fs: FactorSet) -> int:
+def _walk_chain(u: int, t: int, w: int, fs: FactorSet) -> tuple[int, int]:
     """Feed each nontrivial gcd(u^(2^i) - 1, w), i = 0..t, into fs.
 
     Stops once the chain reaches 1, where every later gcd would be w
-    itself. Returns the number of gcds taken.
+    itself. Returns the number of gcds taken and u^(2^t) mod w.
     """
     for i in range(t + 1):
         if u == 1:
-            return i
+            return i, u
         d = math.gcd(u - 1, w)
         if 1 < d < w:
             fs.add_factor(d)
         if i < t:
             u = u * u % w
-    return t + 1
+    return t + 1, u
 
 
 def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
@@ -284,18 +280,20 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     mod N (excluding 1) and walks chains per composite entry w of the
     factor set, modulo w itself: u_0 = x^e and u_i = u_{i-1}^2 mod w for
     i <= t, feeding every nontrivial gcd(u_i - 1, w) into the factor set.
-    Each entry gets two legs. The first takes e = o_r, the odd part of r,
-    and then y = x^o_r mod w. The second takes e = o, as y^(o / o_r), and
-    runs modulo each piece of w that is still composite: w itself if the
-    first leg did not split it, else the pieces found composite when
-    their verdicts are read. The odd part o / o_r of the smooth multiplier
-    is most of o, and it is skipped whenever r alone splits w into primes.
-    A prime piece cannot split again, so for the same draws each
-    iteration's factor set refines that of the paper's one chain x^o modulo
-    N, taken against every composite entry: the run completes no later,
-    draws no more units and lists only true prime powers. ``gcd_calls``
-    counts one gcd per chain step. Non-unit draws with a nontrivial gcd
-    are exploited as free factors.
+    Each entry gets two legs. The first takes e = o_1, the odd part of r less
+    every prime of N, which changes only multiplicities: whether a prime p of
+    w divides a gcd depends on e only modulo ord_p(x), which divides p - 1.
+    Its chain from y = x^o_1 mod w ends at u_t = y^(2^t). The second takes
+    e = o, as y^(o / o_1), modulo each piece v of w still composite (w itself
+    if the first leg did not split it) with u_t != 1 mod v: where u_t = 1,
+    y's order mod v is a power of 2, which an odd exponent keeps, so its gcds
+    would repeat the first leg's. A prime of N dividing ord_p(x) keeps
+    u_t != 1 mod p, so all of o reaches p. A prime piece cannot split again,
+    so for the same draws each iteration's factor set refines that of the
+    paper's one chain x^o modulo N, taken against every composite entry: the
+    run completes no later, draws no more units and lists only true prime
+    powers. ``gcd_calls`` counts one gcd per chain step. Non-unit draws with
+    a nontrivial gcd are exploited as free factors.
 
     With ``k`` fixed, up to k iterations run; with k=None the loop runs
     until the factorization is complete, capped at
@@ -308,10 +306,9 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
 
     N itself gets its ``is_probable_prime`` verdict only if neither
     gcd(N, r) nor the first iteration splits it: a split proves N
-    composite at no cost. A prime N then raises ValueError, one draw and
-    its two legs later. A proper power's base is tested before any draw,
-    so a prime power resolves with no iteration. ``rng`` drives only the draws
-    of units.
+    composite at no cost. A prime N then raises ValueError, one draw
+    later. A proper power's base is tested before any draw, so a prime
+    power resolves with no iteration. ``rng`` drives only unit draws.
     """
     if rng is None:
         rng = random.Random()
@@ -331,8 +328,10 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     if 1 < g < N:
         fs.add_factor(g)
 
-    o_r = split_two_adic(r)[1]
-    o_m = o // o_r  # the odd part of the smooth multiplier
+    o_1 = split_two_adic(r)[1]
+    while (g := math.gcd(o_1, N)) > 1:  # N's own primes: see above
+        o_1 //= g
+    o_2 = o // o_1
     iterations = 0
     gcd_calls = 0
     while iterations < budget:
@@ -344,13 +343,15 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
         moduli = ((N,) if N in fs
                   else [w for w, prime in fs.entries if not prime])
         for w in moduli:
-            y = pow(x % w, o_r, w)
-            gcd_calls += _walk_chain(y, t, w, fs)
+            y = pow(x % w, o_1, w)
+            steps, u = _walk_chain(y, t, w, fs)
+            gcd_calls += steps
             # w unsplit keeps its verdict, or still has none if it is N
             pieces = ([w] if w in fs else [v for v, prime in fs.entries
                                            if not prime and w % v == 0])
             for v in pieces:
-                gcd_calls += _walk_chain(pow(y % v, o_m, v), t, v, fs)
+                if u % v != 1:  # else leg 2 repeats leg 1's gcds modulo v
+                    gcd_calls += _walk_chain(pow(y % v, o_2, v), t, v, fs)[0]
     if fs.factorization.pairs == ((N, 1),):
         raise _PrimeInputError("N is prime; nothing to factor")
     return RecoveryResult(fs.complete, fs.factorization, iterations,

@@ -32,6 +32,7 @@ from ordersplit.ntcore import MAX_SIEVE_BOUND
 from ordersplit.oracle import (
     InfeasibleParametersError,
     Instance,
+    check_exact_order_bits,
     exact_order,
     generate_instance,
     sample_unit,
@@ -210,6 +211,8 @@ def run_cell(l: int, n: int, e_max: int, config: ExperimentConfig,
     sum_gcd_calls = 0
     bit_lengths = []
     unlucky_events = 0
+    if config.order_mode == "exact":
+        check_exact_order_bits(l)
     for trial in range(config.trials_per_cell):
         rng = _trial_rng(config.seed, (l, n, e_max), trial)
         instance = generate_instance(l, n, e_max, rng)
@@ -273,6 +276,7 @@ def run_shor_baseline_cell(l: int, trials: int, seed: int) -> CellReport:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_exact_order_bits(l)
     start = time.perf_counter()
     successes = 0
     gcd_calls = 0

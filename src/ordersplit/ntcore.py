@@ -192,13 +192,13 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     and Q = (1 - D) / 4.
 
     With n + 1 = 2^s d, d odd, n passes when U_d = 0 or V_{d 2^r} = 0
-    (mod n) for some 0 <= r < s. U_d and V_d come from a ladder on
-    W_k = V_k(P', 1), P' = P^2/Q - 2, with two products per bit: as
-    V_2k(P, Q) = Q^k W_k, h = (d - 1)/2 gives D U_d = Q^(h+1) (W_(h+1) - W_h)
-    and V_d = Q^(h+1) (W_h + W_(h+1)), so U_d = 0 exactly when
-    W_h = W_(h+1). Q is a unit mod n: an odd prime p dividing Q and n is
-    at most |Q| < |D|, so D = +-p (or 9 for p = 3) came earlier in the
-    sequence with (D/n) = 0, and that returned False.
+    (mod n) for some 0 <= r < s, all read off one ladder on W_k = V_k(P', 1),
+    P' = P^2/Q - 2, at two products per bit. As V_2k(P, Q) = Q^k W_k with Q
+    a unit, h = (d - 1)/2 gives U_d = 0 iff W_h = W_(h+1), V_d = 0 iff
+    W_h + W_(h+1) = 0, and V_{d 2^r} = 0 iff W_{d 2^(r-1)} = 0, with
+    W_d = W_h W_(h+1) - P' and W_2k = W_k^2 - 2. Q is a unit mod n: an odd
+    prime p dividing Q and n is at most |Q| < |D|, so D = +-p (or 9 for
+    p = 3) came earlier in the sequence with (D/n) = 0, which returned False.
     """
     D = 5
     while (j := _jacobi(D, n)) != -1:
@@ -216,17 +216,13 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             W, W1 = (W * W1 - Pw) % n, (W1 * W1 - 2) % n
         else:
             W, W1 = (W * W - 2) % n, (W * W1 - Pw) % n
-    if W == W1:
-        return True  # U_d = 0
-    Qh = pow(Q, h, n)
-    V = Qh * Q * (W + W1) % n
-    if V == 0:
-        return True
-    Qk = Qh * Qh * Q % n  # Q^d
+    if W == W1 or (W + W1) % n == 0:
+        return True  # U_d = 0 or V_d = 0
+    W = (W * W1 - Pw) % n  # W_d
     for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
+        if W == 0:
+            return True  # V_{d 2^r} = 0 for this r >= 1
+        W = (W * W - 2) % n
     return False
 
 

@@ -301,6 +301,14 @@ def _factor_completely(n: int, trial_bound: int = 10**6) -> dict[int, int]:
     return factors
 
 
+def check_exact_order_bits(l: int) -> None:
+    """Refuse l-bit primes that exact_order cannot take, before any draw."""
+    if l > EXACT_ORDER_BIT_LIMIT:
+        raise InfeasibleParametersError(
+            f"exact order finding is limited to primes of at most "
+            f"{EXACT_ORDER_BIT_LIMIT} bits")
+
+
 def exact_order(instance: Instance, g: int) -> OrderResult:
     """Exact order of g modulo N, via the factored component group orders.
 
@@ -310,10 +318,7 @@ def exact_order(instance: Instance, g: int) -> OrderResult:
     practical while each p - 1 can be factored, so desk-scale primes: any
     prime over EXACT_ORDER_BIT_LIMIT bits raises InfeasibleParametersError.
     """
-    if max(instance.primes).bit_length() > EXACT_ORDER_BIT_LIMIT:
-        raise InfeasibleParametersError(
-            f"exact order finding is limited to primes of at most "
-            f"{EXACT_ORDER_BIT_LIMIT} bits")
+    check_exact_order_bits(max(instance.primes).bit_length())
     if math.gcd(g, instance.modulus) != 1:
         raise ValueError(f"{g} is not a unit modulo {instance.modulus}")
     order = 1

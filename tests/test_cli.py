@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ordersplit
-from ordersplit import cli
+from ordersplit import cli, harness
 from ordersplit.cli import (
     EXIT_INCOMPLETE,
     EXIT_INFEASIBLE,
@@ -329,8 +329,14 @@ class TestIntegerFlags:
     @pytest.mark.parametrize("argv", [
         ["baseline", "--l", "65", "--trials", "1"],
         ["simulate", "--l", "65", "--n", "2", "--emax", "1"],
-    ], ids=["baseline", "simulate"])
-    def test_exact_order_past_64_bits_is_infeasible(self, capsys, argv):
+        ["baseline", "--l", "1024", "--trials", "1"],
+        ["simulate", "--l", "1024", "--n", "2", "--emax", "1"],
+    ], ids=["baseline", "simulate", "baseline-1024", "simulate-1024"])
+    def test_exact_order_past_64_bits_is_infeasible(self, capsys,
+                                                    monkeypatch, argv):
+        # refused before any instance is drawn
+        monkeypatch.setattr(cli, "generate_instance", None)
+        monkeypatch.setattr(harness, "generate_instance", None)
         code, out, err = run_cli(capsys, *argv, "--seed", "1")
         assert code == EXIT_INFEASIBLE
         assert out == "" and "64 bits" in err

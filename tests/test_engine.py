@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -261,9 +262,12 @@ def _paper_legs(N, r):
 
 
 def _engine_legs(N, r):
-    """recover_factors' form: a chain from x^o_r, o_r the odd part of r,
-    then one from x^o."""
-    return (split_two_adic(r)[1], guess_multiple(r, N.bit_length()).o)
+    """recover_factors' form: a chain from x^o_1, o_1 the odd part of r
+    with every prime of N divided out, then one from x^o."""
+    o_1 = split_two_adic(r)[1]
+    while math.gcd(o_1, N) > 1:
+        o_1 //= math.gcd(o_1, N)
+    return (o_1, guess_multiple(r, N.bit_length()).o)
 
 
 def _single_chain_reference(N, r, legs, *, k, rng):
@@ -355,6 +359,56 @@ def _long_mode_reference_cases():
         r = master.choice((exact_order(inst, g).order, 1))
         k = master.choice((None, 1, 3))
         yield inst.modulus, r, k, master.randrange(2**32)
+
+
+def _adversarial_cases(q, ps, count, master):
+    """(N, r, k, seed) with N = q^e * p1 * p2, e in {1, 2}, where q divides
+    each p_i - 1, and r the exact order of a random unit: q then divides r
+    almost always, so leg 1 drops it, yet it can be part of x's order
+    modulo each p_i."""
+    for _ in range(count):
+        inst = Instance.from_parts((q, *ps), (master.choice((1, 2)), 1, 1))
+        g = sample_unit(inst.modulus, master, exclude_one=True)
+        yield (inst.modulus, exact_order(inst, g).order,
+               master.choice((None, 1)), master.randrange(2**32))
+
+
+def _primes_one_mod(q, count):
+    """The first count primes p = 1 (mod 2q)."""
+    candidates = (2 * j * q + 1 for j in itertools.count(1))
+    return tuple(itertools.islice(filter(is_probable_prime, candidates),
+                                  count))
+
+
+def _count_chains(monkeypatch):
+    """Wrap engine._walk_chain; returns the list it appends each w to."""
+    moduli = []
+    walk = engine._walk_chain
+
+    def counting(u, t, w, fs):
+        moduli.append(w)
+        return walk(u, t, w, fs)
+
+    monkeypatch.setattr(engine, "_walk_chain", counting)
+    return moduli
+
+
+def _check_adversarial_family(monkeypatch, q, ps, count, master_seed):
+    """Every case matches the reference and dominates the paper's chain,
+    q divides r, and leg 2 runs on some of them. N has three primes, so at
+    most one entry is composite at a time and leg 1 walks one chain per
+    iteration: every further chain is leg 2's."""
+    chains = _count_chains(monkeypatch)
+    leg_2_chains = 0
+    for N, r, k, seed in _adversarial_cases(q, ps, count,
+                                             random.Random(master_seed)):
+        assert r % q == 0, (N, r)
+        chains.clear()
+        result = _assert_matches_reference(N, r, k=k, seed=seed)
+        assert result.complete or k is not None, (N, r)
+        leg_2_chains += len(chains) - result.iterations
+        _assert_dominates_paper_reference(N, r, k=k, seed=seed)
+    assert leg_2_chains > 0
 
 
 _LONG_MODE = pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
@@ -473,6 +527,34 @@ class TestRecoverFactors:
         result = recover_factors(N, 1, k=1, rng=random.Random(0))
         assert not result.complete
         assert exponents == [1, guess_multiple(1, N.bit_length()).o]
+
+    def test_prime_of_N_dividing_two_p_minus_1(self, monkeypatch):
+        # 1009 divides 10091 - 1 and 12109 - 1
+        _check_adversarial_family(monkeypatch, 1009, (10091, 12109), 60, 21)
+
+    @_LONG_MODE
+    def test_prime_of_N_dividing_two_p_minus_1_long_mode(self, monkeypatch):
+        q = 1000003
+        _check_adversarial_family(monkeypatch, q, _primes_one_mod(q, 2),
+                                  600, 22)
+
+    def test_semiprime_with_lambda_never_runs_leg_2(self, monkeypatch):
+        # r = lcm(p - 1, q - 1) is a multiple of every unit's order, and
+        # neither l-bit prime divides it, so x^o_1 has a power-of-2 order
+        # and leg 1's chain always reaches 1
+        chains = _count_chains(monkeypatch)
+        master = random.Random(23)
+        multi_iteration = 0
+        for _ in range(40):
+            inst = generate_instance(16, 2, 1, master)
+            r = math.lcm(*(p - 1 for p in inst.primes))
+            chains.clear()
+            rng = random.Random(master.randrange(2**32))
+            result = recover_factors(inst.modulus, r, rng=rng)
+            assert result.complete
+            assert len(chains) == result.iterations
+            multi_iteration += result.iterations > 1
+        assert multi_iteration  # some chains reached 1 without a split
 
     def test_order_multiple_of_N_matches_reference(self):
         # gcd(N, r) = N splits nothing, so the first chain runs modulo N

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from ordersplit import harness
 from ordersplit.harness import (
     CSV_COLUMNS,
     CellReport,
@@ -101,9 +102,12 @@ class TestRunCell:
         assert report.complete_successes == 25
         assert report.empirical_failure_rate == 0.0
 
-    def test_exact_mode_refuses_large_primes(self):
-        with pytest.raises(InfeasibleParametersError):
+    def test_exact_mode_refuses_large_primes(self, monkeypatch):
+        monkeypatch.setattr(harness, "generate_instance", None)  # no draw
+        with pytest.raises(InfeasibleParametersError, match="64 bits"):
             run_cell(128, 2, 1, _config())
+        with pytest.raises(InfeasibleParametersError, match="64 bits"):
+            run_shor_baseline_cell(1024, 1, 1)
 
     def test_infeasible_cell_raises(self):
         with pytest.raises(InfeasibleParametersError):
