@@ -5,8 +5,11 @@ Exact order finding factors each component group order phi(p^e) completely
 and is the ground truth at desk scale. The heuristic starts from phi(p^e)
 per component and strips primes up to a bound B_s while the power of the
 component unit stays 1 -- no factoring of p - 1 required, so it scales to
-cryptographic sizes. Its answer is always a multiple of the true order;
-when B_s is tiny the excess becomes visible.
+cryptographic sizes. Each component costs one sweep of p - 1 for primes
+up to B_s and one exponentiation by the rough part of phi(p^e); the rest
+is in the B_s-smooth subgroup, so a prime power costs about what a prime
+does. Its answer is always a multiple of the true order; when B_s is tiny
+the excess becomes visible.
 
 Run: python demos/02_order_oracle.py
 """

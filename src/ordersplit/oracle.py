@@ -334,13 +334,19 @@ def exact_order(instance: Instance, g: int) -> OrderResult:
 
 def _reduce_component_order(g: int, prime_power: int, phi: int,
                             smooth_bound: int) -> int:
-    """Strip primes <= smooth_bound off phi while g stays congruent to 1."""
-    order = phi
-    # increasing order; the result is order-independent
-    for f in small_prime_divisors(phi, smooth_bound):
-        while order % f == 0 and pow(g, order // f, prime_power) == 1:
-            order //= f
-    return order
+    """phi with each prime <= smooth_bound cut to its power in ord(g): U
+    times ord(g^U), U the rough part of phi. Only p - 1 is swept."""
+    p = prime_power // math.gcd(prime_power, phi)
+    small = small_prime_divisors(p - 1, smooth_bound)
+    if p < prime_power and p <= smooth_bound:
+        small.append(p)
+    rough, smooth = phi, {}
+    for f in small:
+        while rough % f == 0:
+            rough //= f
+            smooth[f] = smooth.get(f, 0) + 1
+    return rough * multiplicative_order(pow(g, rough, prime_power),
+                                        prime_power, smooth.items())
 
 
 def _crt(residues, moduli) -> int:
@@ -358,11 +364,14 @@ def simulate_order(instance: Instance, smooth_bound: int,
 
     Component units g_i are drawn independently, each component order is
     approximated by dividing primes <= smooth_bound off phi(p_i^e_i) while
-    the power stays 1, and g is assembled by Chinese remaindering. The
-    returned order is always a positive multiple of the true order of g;
-    any excess has only prime factors above smooth_bound, which must lie
-    in [2, MAX_SIEVE_BOUND]: at 10^8 a heuristic `ordersplit simulate`
-    peaks near 375 MiB.
+    the power stays 1, and g is assembled by Chinese remaindering. Each
+    component costs one sweep of p_i - 1 and one exponentiation by the
+    rough part of phi(p_i^e_i); the rest is in the smooth subgroup, so a
+    prime power costs about what a prime does. The returned order is
+    always a positive multiple of the true order of g; any excess has only
+    prime factors above smooth_bound, which must lie in
+    [2, MAX_SIEVE_BOUND]: at 10^8 a heuristic `ordersplit simulate` peaks
+    near 375 MiB.
     """
     if not 2 <= smooth_bound <= MAX_SIEVE_BOUND:
         raise ValueError(f"smooth_bound must be in [2, {MAX_SIEVE_BOUND}]")

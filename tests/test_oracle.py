@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from conftest import brute_force_order, trial_division_factorization
 from ordersplit import oracle
 from ordersplit.harness import _trial_rng
-from ordersplit.ntcore import _sieve, _strong_probable_prime, primes_up_to
+from ordersplit.ntcore import (_sieve, _strong_probable_prime, primes_up_to,
+                               small_prime_divisors)
 from ordersplit.oracle import (
     InfeasibleParametersError,
     Instance,
@@ -377,6 +379,26 @@ class TestReduceComponentOrder:
                         assert _reduce_component_order(g, pe, phi, bound) == \
                             _reduce_by_per_prime_loop(g, pe, phi, bound)
 
+    def test_matches_per_prime_loop_on_prime_powers(self):
+        # l = 8 puts every p below the larger bounds, so p itself is
+        # stripped when e >= 2; l = 64 keeps p above every bound. A p-th
+        # power has v_p(order) < e - 1, which a random unit rarely has.
+        rng = random.Random(17)
+        branches = set()
+        for l in (8, 12, 64):
+            for _ in range(6):
+                inst = generate_instance(l, 3, 3, rng)
+                for p, e in zip(inst.primes, inst.exponents):
+                    pe = p**e
+                    g = sample_unit(pe, rng)
+                    phi = pe // p * (p - 1)
+                    for bound in (2, 10, 1000, 10**6):
+                        branches.add((e >= 2, p <= bound))
+                        for h in (g, pow(g, p, pe)):
+                            assert _reduce_component_order(h, pe, phi, bound) \
+                                == _reduce_by_per_prime_loop(h, pe, phi, bound)
+        assert {(True, True), (True, False)} <= branches
+
     def test_component_examples_mod_7(self):
         assert _reduce_component_order(2, 7, 6, 10) == 3
         assert _reduce_component_order(3, 7, 6, 10) == 6
@@ -388,6 +410,16 @@ class TestReduceComponentOrder:
         assert r % 7 == 0 or 1008 % 7 != 0
         true_order = brute_force_order(3, 1009)
         assert r % true_order == 0
+
+
+def _reference_simulated_order(inst, element, smooth_bound):
+    """The order simulate_order returns for element, by the per-prime loop."""
+    order = 1
+    for p, e in zip(inst.primes, inst.exponents):
+        pe = p**e
+        order = math.lcm(order, _reduce_by_per_prime_loop(
+            element % pe, pe, pe // p * (p - 1), smooth_bound))
+    return order
 
 
 class TestCrt:
@@ -444,6 +476,37 @@ class TestSimulateOrder:
             if sim.order == exact_order(inst, sim.element).order:
                 agree += 1
         assert agree / trials >= 0.99
+
+    def test_sweeps_only_p_minus_1(self, monkeypatch):
+        swept = []
+
+        def recording(n, bound):
+            swept.append(n)
+            return small_prime_divisors(n, bound)
+
+        monkeypatch.setattr(oracle, "small_prime_divisors", recording)
+        rng = random.Random(18)
+        for _ in range(4):
+            inst = generate_instance(64, 8, 3, rng)
+            swept.clear()
+            sim = simulate_order(inst, 10**6, rng)
+            assert sorted(swept) == sorted(p - 1 for p in inst.primes)
+            assert all(n % p for n in swept for p in inst.primes)
+            assert sim.order == _reference_simulated_order(
+                inst, sim.element, 10**6)
+
+    @pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
+                        reason="long-mode reference check; "
+                               "set ORDERSPLIT_LONG=1")
+    def test_simulate_matches_reference_long_mode(self):
+        rng = random.Random(19)
+        for l in (128, 256):
+            for e_max in (2, 3):
+                for _ in range(3):
+                    inst = generate_instance(l, 3, e_max, rng)
+                    sim = simulate_order(inst, 10**6, rng)
+                    assert sim.order == _reference_simulated_order(
+                        inst, sim.element, 10**6)
 
     def test_bound_validation(self):
         inst = Instance.from_parts([3, 5], [1, 1])
