@@ -33,7 +33,7 @@ from ordersplit.ntcore import (
     is_probable_prime,
     perfect_power_reduce,
     primes_up_to,
-    small_prime_divisors,
+    smooth_part,
     split_two_adic,
 )
 from ordersplit.oracle import (
@@ -75,7 +75,7 @@ __all__ = [
     "sample_unit",
     "shor_split",
     "simulate_order",
-    "small_prime_divisors",
+    "smooth_part",
     "split_two_adic",
     "theoretical_failure_bound",
     "write_csv",

@@ -31,7 +31,7 @@ from ordersplit.ntcore import (
     is_probable_prime,
     perfect_power_reduce,
     primes_up_to,
-    small_prime_divisors,
+    smooth_part,
     split_two_adic,
 )
 from ordersplit.oracle import sample_unit
@@ -412,8 +412,8 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
                       rng: random.Random | None = None) -> RecoveryResult:
     """Factor any N >= 3 given a multiple r of the order of a unit mod N.
 
-    Pre-processing strips primes up to ``TRIAL_DIVISION_BOUND`` by trial
-    division, and the core left goes to ``recover_factors``, whose factor
+    Pre-processing splits off N's ``TRIAL_DIVISION_BOUND``-smooth part by
+    trial division, and the core left goes to ``recover_factors``, whose factor
     set gives the one primality verdict on it, after the first chain if
     gcd(core, r) and that chain leave it whole: a prime core is then done,
     and a prime power resolves with no iteration. The order of any unit
@@ -432,20 +432,15 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
         raise ValueError("k must be >= 1 when fixed")
     if rng is None:
         rng = random.Random()
-    found = set(small_prime_divisors(N, TRIAL_DIVISION_BOUND))
-    core = N
-    for p in found:
-        while core % p == 0:
-            core //= p
+    found, core = smooth_part(N, TRIAL_DIVISION_BOUND)
     result = RecoveryResult(False, Factorization(()), 0, 0, None)
     if core > 1:
         try:
             result = recover_factors(core, r, c=c, k=k, rng=rng)
         except _PrimeInputError:
-            found.add(core)
-        else:
-            found.update(p for p, _ in result.factorization.pairs)
-    factorization = Factorization(
-        tuple((p, _multiplicity(N, p)) for p in sorted(found)))
+            found[core] = 1
+        else:  # core holds every power of its primes: multiplicities in N
+            found.update(result.factorization.pairs)
+    factorization = Factorization(tuple(sorted(found.items())))
     return replace(result, complete=factorization.product() == N,
                    factorization=factorization)

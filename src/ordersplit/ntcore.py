@@ -1,8 +1,7 @@
 """Arbitrary-precision number-theory primitives.
 
-Prime sieving, small-prime divisors, primality testing, perfect-power
-reduction and exact multiplicative orders. Everything here is a pure
-function.
+Prime sieving, smooth parts, primality testing, perfect-power reduction
+and exact multiplicative orders. Everything here is a pure function.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from functools import lru_cache
 
 __all__ = [
     "primes_up_to",
-    "small_prime_divisors",
+    "smooth_part",
     "eta",
     "split_two_adic",
     "is_probable_prime",
@@ -37,14 +36,14 @@ _PSI_13 = 3317044064679887385961981
 # Baillie-PSW is exact below 2^64 and, from psi_4 on, cheaper than the bases.
 _BPSW_EXACT_BELOW = 1 << 64
 
-# The largest bound primes_up_to and small_prime_divisors sieve to: a
+# The largest bound primes_up_to and smooth_part sieve to: a
 # bytearray of that many bytes (100 MB), kept as a tuple of its primes.
 MAX_SIEVE_BOUND = 10**8
 
-# Primes per gcd in small_prime_divisors. Larger chunks save little per
+# Primes per gcd in smooth_part. Larger chunks save little per
 # sweep and cost more to build: 256 primes near 10^6 make ~5,000 bits.
 _CHUNK = 256
-# Chunks swept before small_prime_divisors tests what is left for
+# Chunks swept before smooth_part tests what is left for
 # primality; earlier, the sweep's own p^2 > rem stop is usually cheaper.
 _CHUNKS_BEFORE_PRIME_TEST = 4
 
@@ -86,8 +85,9 @@ def primes_up_to(bound: int) -> list[int]:
     return list(_sieve(bound))
 
 
-def small_prime_divisors(n: int, bound: int) -> list[int]:
-    """Distinct primes <= bound that divide n >= 1, ascending.
+def smooth_part(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """({p: e}, m) with n = m * prod p^e: the primes p <= bound dividing
+    n >= 1, ascending, with their exponents, and m free of primes <= bound.
 
     A gcd with the product of each chunk of primes picks the chunks to
     trial-divide. The sweep stops once the next chunk's first prime squared
@@ -102,9 +102,9 @@ def small_prime_divisors(n: int, bound: int) -> list[int]:
         raise ValueError("n must be >= 1")
     _check_sieve_bound(bound)
     if bound < 2:
-        return []
+        return {}, n
     primes = _sieve(bound)
-    found: list[int] = []
+    found: dict[int, int] = {}
     rem = n
     tested = 0  # the last rem found not to be a prime below _PSI_13
     for i, (start, product) in enumerate(_prime_chunks(bound)):
@@ -118,12 +118,13 @@ def small_prime_divisors(n: int, bound: int) -> list[int]:
             continue
         for p in primes[start:start + _CHUNK]:
             if rem % p == 0:
-                found.append(p)
+                found[p] = 0
                 while rem % p == 0:
                     rem //= p
-    if 1 < rem <= bound:
-        found.append(rem)  # the leftover prime lies within the bound
-    return found
+                    found[p] += 1
+    if 1 < rem <= bound:  # the leftover prime lies within the bound
+        found[rem], rem = 1, 1
+    return found, rem
 
 
 def eta(q: int, bound: int) -> int:

@@ -3,7 +3,7 @@
 An :class:`Instance` is an odd composite N = p1^e1 * ... * pn^en whose
 factorization is kept as ground truth. Order finding for a random unit is
 provided two ways: exactly, by factoring the component group orders, and
-heuristically, by stripping small primes off phi of each component. The
+heuristically, from the smooth part of phi of each component. The
 heuristic route never underestimates the order; when it errs, it returns a
 multiple whose spurious part has only prime factors above the smoothness
 bound.
@@ -20,8 +20,7 @@ from typing import Callable
 
 from ordersplit.ntcore import (MAX_SIEVE_BOUND, _strong_liar,
                                is_probable_prime, multiplicative_order,
-                               primes_up_to, small_prime_divisors,
-                               split_two_adic)
+                               primes_up_to, smooth_part, split_two_adic)
 
 __all__ = [
     "InfeasibleParametersError",
@@ -118,6 +117,8 @@ _SMALL_ODD_PRIMES_PRODUCT = math.prod(primes_up_to(2000)[1:])
 _SAMPLER_ROUNDS = 64
 # exact_order factors p - 1 by trial division and rho: desk-scale primes only
 EXACT_ORDER_BIT_LIMIT = 64
+_TRIAL_BOUND = 10**6  # the largest prime _factor_completely trial-divides by
+_RHO_ATTEMPTS = 64  # rho restarts before a composite counts as infeasible
 
 
 def _skip_randrange(rng: random.Random, start: int, stop: int,
@@ -241,9 +242,9 @@ def sample_unit(modulus: int, rng: random.Random, *,
             on_factor(g)
 
 
-def _pollard_rho(n: int, rng: random.Random, max_attempts: int = 64) -> int:
+def _pollard_rho(n: int, rng: random.Random) -> int:
     """Nontrivial factor of odd composite n (Brent's cycle variant)."""
-    for _ in range(max_attempts):
+    for _ in range(_RHO_ATTEMPTS):
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
@@ -271,20 +272,15 @@ def _pollard_rho(n: int, rng: random.Random, max_attempts: int = 64) -> int:
     raise InfeasibleParametersError(f"failed to factor {n} within effort cap")
 
 
-def _factor_completely(n: int, trial_bound: int = 10**6) -> dict[int, int]:
+def _factor_completely(n: int) -> dict[int, int]:
     """Full factorization {prime: exponent} by trial division then rho.
 
     Deterministic: the rho stream is seeded from what trial division
     leaves of n, and made only when a composite needs rho.
     """
-    factors: dict[int, int] = {}
     # a power of two >= sqrt(n) keeps one sieve per bit length of n
-    for p in small_prime_divisors(n, min(trial_bound,
-                                         1 << (n.bit_length() + 1) // 2)):
-        factors[p] = 0
-        while n % p == 0:
-            factors[p] += 1
-            n //= p
+    factors, n = smooth_part(n, min(_TRIAL_BOUND,
+                                    1 << (n.bit_length() + 1) // 2))
     if n == 1:
         return factors
     rng = None
@@ -326,27 +322,22 @@ def exact_order(instance: Instance, g: int) -> OrderResult:
         pe = p**e
         phi_factors = _factor_completely(p - 1)
         if e > 1:
-            phi_factors[p] = phi_factors.get(p, 0) + e - 1
+            phi_factors[p] = e - 1
         component = multiplicative_order(g % pe, pe, sorted(phi_factors.items()))
         order = math.lcm(order, component)
     return OrderResult(element=g, order=order, exact=True)
 
 
-def _reduce_component_order(g: int, prime_power: int, phi: int,
-                            smooth_bound: int) -> int:
-    """phi with each prime <= smooth_bound cut to its power in ord(g): U
-    times ord(g^U), U the rough part of phi. Only p - 1 is swept."""
-    p = prime_power // math.gcd(prime_power, phi)
-    small = small_prime_divisors(p - 1, smooth_bound)
-    if p < prime_power and p <= smooth_bound:
-        small.append(p)
-    rough, smooth = phi, {}
-    for f in small:
-        while rough % f == 0:
-            rough //= f
-            smooth[f] = smooth.get(f, 0) + 1
-    return rough * multiplicative_order(pow(g, rough, prime_power),
-                                        prime_power, smooth.items())
+def _reduce_component_order(g: int, p: int, e: int, smooth_bound: int) -> int:
+    """phi(p^e) with each prime <= smooth_bound cut to its power in ord(g):
+    U times ord(g^U), U the rough part of phi. Only p - 1 is swept."""
+    smooth, rough = smooth_part(p - 1, smooth_bound)
+    if e > 1 and p <= smooth_bound:
+        smooth[p] = e - 1
+    else:
+        rough *= p ** (e - 1)
+    pe = p**e
+    return rough * multiplicative_order(pow(g, rough, pe), pe, smooth.items())
 
 
 def _crt(residues, moduli) -> int:
@@ -381,8 +372,7 @@ def simulate_order(instance: Instance, smooth_bound: int,
     for p, e in zip(instance.primes, instance.exponents):
         pe = p**e
         g_i = sample_unit(pe, rng)
-        phi = pe // p * (p - 1)
-        r_i = _reduce_component_order(g_i, pe, phi, smooth_bound)
+        r_i = _reduce_component_order(g_i, p, e, smooth_bound)
         residues.append(g_i)
         moduli.append(pe)
         order = math.lcm(order, r_i)

@@ -19,7 +19,7 @@ from ordersplit.ntcore import (
     multiplicative_order,
     perfect_power_reduce,
     primes_up_to,
-    small_prime_divisors,
+    smooth_part,
 )
 
 
@@ -46,39 +46,54 @@ class TestPrimesUpTo:
                 primes_up_to(bound)
 
 
-def _divisors_by_trial_division(n, bound):
-    return [p for p in primes_up_to(bound) if n % p == 0]
+def _smooth_part_by_trial_division(n, bound):
+    exponents = {}
+    for p in primes_up_to(bound):
+        while n % p == 0:
+            n //= p
+            exponents[p] = exponents.get(p, 0) + 1
+    return exponents, n
+
+
+def _check_smooth_part(n, bound):
+    """smooth_part(n, bound) against trial division, and n = m * prod p^e
+    with no prime <= bound dividing the cofactor m."""
+    exponents, cofactor = smooth_part(n, bound)
+    assert (exponents, cofactor) == _smooth_part_by_trial_division(n, bound)
+    assert list(exponents) == sorted(exponents)
+    assert cofactor * math.prod(p**e for p, e in exponents.items()) == n
+    assert all(cofactor % p for p in primes_up_to(bound))
+    return exponents
 
 
 class TestSmallPrimeDivisors:
+    """smooth_part: the small prime divisors of n with their exponents,
+    and the cofactor they leave."""
+
     def test_one_has_none(self):
         for bound in (0, 1, 2, 10**4):
-            assert small_prime_divisors(1, bound) == []
+            assert smooth_part(1, bound) == ({}, 1)
 
     def test_bound_above_the_limit(self, refuse_large_sieves):
         for bound in (MAX_SIEVE_BOUND + 1, 10**12):
             with pytest.raises(ValueError, match="at most"):
-                small_prime_divisors(10**20 + 39, bound)
+                smooth_part(10**20 + 39, bound)
 
     def test_bound_below_two(self):
         for bound in (0, 1):
-            assert small_prime_divisors(2 * 3 * 5, bound) == []
+            assert smooth_part(2 * 3 * 5, bound) == ({}, 30)
 
     def test_prime_at_and_just_above_bound(self):
         # 9973 is the largest prime below 10^4; past the first chunk it is
         # only found as the leftover once the sweep stops
         for n, p in ((7 * 2**5, 7), (2 * 9973, 9973), (3**4 * 9973, 9973)):
-            assert small_prime_divisors(n, p) == \
-                _divisors_by_trial_division(n, p)
-            assert p in small_prime_divisors(n, p)
-            assert p not in small_prime_divisors(n, p - 1)
-            assert small_prime_divisors(n, p - 1) == \
-                _divisors_by_trial_division(n, p - 1)
+            assert p in _check_smooth_part(n, p)
+            assert p not in _check_smooth_part(n, p - 1)
 
     def test_square_of_a_chunks_first_prime(self):
         # after the first chunk exactly q^2 is left, so the sweep must go on
         q = primes_up_to(10**4)[_CHUNK]
-        assert small_prime_divisors(2 * q * q, 10**4) == [2, q]
+        assert smooth_part(2 * q * q, 10**4) == ({2: 1, q: 2}, 1)
 
     def test_two_primes_between_1e3_and_1e6(self):
         rng = random.Random(21)
@@ -86,18 +101,15 @@ class TestSmallPrimeDivisors:
         for _ in range(6):  # each new bound sieves afresh
             p, q = sorted(rng.sample(primes, 2))
             n = p * q * rng.randrange(1, 10**3)
-            expected = _divisors_by_trial_division(n, 10**6)
             for bound in (10**3, p - 1, p, q - 1, q, 10**6):
-                assert small_prime_divisors(n, bound) == \
-                    [f for f in expected if f <= bound]
+                _check_smooth_part(n, bound)
 
     def test_random_inputs_match_trial_division(self):
         rng = random.Random(22)
         for _ in range(300):
             n = rng.randrange(1, 10**9)
             bound = rng.randrange(0, 5000)
-            assert small_prime_divisors(n, bound) == \
-                _divisors_by_trial_division(n, bound)
+            _check_smooth_part(n, bound)
 
     def test_1024_bit_inputs(self):
         rng = random.Random(23)
@@ -105,8 +117,7 @@ class TestSmallPrimeDivisors:
         for _ in range(4):
             n = rng.getrandbits(1024) | (1 << 1023)
             n *= math.prod(rng.sample(small, 5))
-            assert small_prime_divisors(n, 10**6) == \
-                _divisors_by_trial_division(n, 10**6)
+            _check_smooth_part(n, 10**6)
 
     def test_sweep_stops_at_a_prime_below_psi_13(self, monkeypatch):
         # what is left is tested only from the fifth chunk on, so only past
@@ -132,14 +143,13 @@ class TestSmallPrimeDivisors:
         )
         for n, stops in cases:
             tested.clear()
-            assert small_prime_divisors(n, 10**6) == \
-                _divisors_by_trial_division(n, 10**6)
+            _check_smooth_part(n, 10**6)
             assert [z for z, prime in tested if prime] == stops, n
             assert all(z < PSI_13 for z, _ in tested)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            small_prime_divisors(0, 10)
+            smooth_part(0, 10)
 
 
 class TestEta:

@@ -9,7 +9,7 @@ from conftest import brute_force_order, trial_division_factorization
 from ordersplit import oracle
 from ordersplit.harness import _trial_rng
 from ordersplit.ntcore import (_sieve, _strong_probable_prime, primes_up_to,
-                               small_prime_divisors)
+                               smooth_part)
 from ordersplit.oracle import (
     InfeasibleParametersError,
     Instance,
@@ -376,7 +376,7 @@ class TestReduceComponentOrder:
                     g = sample_unit(pe, rng)
                     phi = pe // p * (p - 1)
                     for bound in (2, 10, 1000, 10**6):
-                        assert _reduce_component_order(g, pe, phi, bound) == \
+                        assert _reduce_component_order(g, p, e, bound) == \
                             _reduce_by_per_prime_loop(g, pe, phi, bound)
 
     def test_matches_per_prime_loop_on_prime_powers(self):
@@ -395,18 +395,18 @@ class TestReduceComponentOrder:
                     for bound in (2, 10, 1000, 10**6):
                         branches.add((e >= 2, p <= bound))
                         for h in (g, pow(g, p, pe)):
-                            assert _reduce_component_order(h, pe, phi, bound) \
+                            assert _reduce_component_order(h, p, e, bound) \
                                 == _reduce_by_per_prime_loop(h, pe, phi, bound)
         assert {(True, True), (True, False)} <= branches
 
     def test_component_examples_mod_7(self):
-        assert _reduce_component_order(2, 7, 6, 10) == 3
-        assert _reduce_component_order(3, 7, 6, 10) == 6
+        assert _reduce_component_order(2, 7, 1, 10) == 3
+        assert _reduce_component_order(3, 7, 1, 10) == 6
 
     def test_reduction_stops_above_bound(self):
         # order of 3 mod 1009 divides 1008 = 2^4 * 3^2 * 7; with bound 5 the
         # factor 7 can never be stripped
-        r = _reduce_component_order(3, 1009, 1008, 5)
+        r = _reduce_component_order(3, 1009, 1, 5)
         assert r % 7 == 0 or 1008 % 7 != 0
         true_order = brute_force_order(3, 1009)
         assert r % true_order == 0
@@ -482,9 +482,9 @@ class TestSimulateOrder:
 
         def recording(n, bound):
             swept.append(n)
-            return small_prime_divisors(n, bound)
+            return smooth_part(n, bound)
 
-        monkeypatch.setattr(oracle, "small_prime_divisors", recording)
+        monkeypatch.setattr(oracle, "smooth_part", recording)
         rng = random.Random(18)
         for _ in range(4):
             inst = generate_instance(64, 8, 3, rng)

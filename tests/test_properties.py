@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ordersplit.engine import FactorSet  # noqa: E402
 from ordersplit.ntcore import (  # noqa: E402
+    _CHUNK,
     integer_nth_root,
     is_probable_prime,
     perfect_power_reduce,
     primes_up_to,
+    smooth_part,
 )
 
 _PRIMES = primes_up_to(200)
@@ -138,3 +140,33 @@ def test_perfect_power_reduce_of_a_power(b, k):
     assert base**exp == b**k
     assert exp % k == 0
     assert not _is_perfect_power(base)
+
+
+_SWEPT = primes_up_to(10**5)  # 37 chunks, so the sweep's prime test runs
+
+
+@st.composite
+def _split_at_a_bound(draw):
+    """A bound at a prime, and prime powers on both sides of it and of a
+    chunk edge, where the sweep's chunk of 256 primes turns over."""
+    i = draw(st.integers(0, len(_SWEPT) - 1))
+    bound = _SWEPT[i] + draw(st.sampled_from((-1, 0, 1)))
+    edge = _CHUNK * draw(st.integers(1, (len(_SWEPT) - 1) // _CHUNK))
+    near = [j for j in (i - 1, i, i + 1, edge - 1, edge) if j >= 0]
+    picks = draw(st.lists(st.sampled_from(near)
+                          | st.integers(0, len(_SWEPT) - 1),
+                          min_size=1, max_size=5, unique=True))
+    return bound, {_SWEPT[j]: draw(st.integers(1, 3)) for j in picks}
+
+
+@settings(deadline=None)
+@given(_split_at_a_bound(), st.sampled_from((1, 2**61 - 1, 2**89 - 1)))
+def test_smooth_part_splits_at_the_bound(case, rough):
+    # rough is 1 or a prime above every bound, below and above psi_13
+    bound, powers = case
+    n = rough * math.prod(p**e for p, e in powers.items())
+    exponents, cofactor = smooth_part(n, bound)
+    assert cofactor * math.prod(p**e for p, e in exponents.items()) == n
+    assert exponents == {p: e for p, e in powers.items() if p <= bound}
+    assert cofactor == rough * math.prod(
+        p**e for p, e in powers.items() if p > bound)
