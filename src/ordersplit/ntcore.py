@@ -36,8 +36,8 @@ _PSI_13 = 3317044064679887385961981
 # Baillie-PSW is exact below 2^64 and, from psi_4 on, cheaper than the bases.
 _BPSW_EXACT_BELOW = 1 << 64
 
-# The largest bound primes_up_to and smooth_part sieve to: a
-# bytearray of that many bytes (100 MB), kept as a tuple of its primes.
+# The largest bound primes_up_to and smooth_part sieve to: a bytearray
+# of (bound + 1) / 2 bytes (50 MB), kept as a tuple of its primes.
 MAX_SIEVE_BOUND = 10**8
 
 # Primes per gcd in smooth_part. Larger chunks save little per
@@ -50,12 +50,16 @@ _CHUNKS_BEFORE_PRIME_TEST = 4
 
 @lru_cache(maxsize=128)
 def _sieve(bound: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (bound + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
+    if bound < 2:
+        return ()
+    flags = bytearray([1]) * ((bound + 1) // 2)  # flag i stands for 2i + 1
+    flags[0] = 0  # 1 is not a prime
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(itertools.compress(range(bound + 1), flags))
+            p = 2 * i + 1
+            start = p * p // 2
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+    return (2, *itertools.compress(range(1, bound + 1, 2), flags))
 
 
 @lru_cache(maxsize=128)
@@ -72,17 +76,16 @@ def _check_sieve_bound(bound: int) -> None:
                          f"got {bound}")
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending (Eratosthenes, memoized per bound).
+def primes_up_to(bound: int) -> tuple[int, ...]:
+    """All primes <= bound, ascending (Eratosthenes over the odd numbers,
+    memoized per bound: every call with one bound returns the same tuple).
 
     Raises ValueError for a bound above MAX_SIEVE_BOUND.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _check_sieve_bound(bound)
-    if bound < 2:
-        return []
-    return list(_sieve(bound))
+    return _sieve(bound)
 
 
 def smooth_part(n: int, bound: int) -> tuple[dict[int, int], int]:

@@ -362,7 +362,7 @@ def simulate_order(instance: Instance, smooth_bound: int,
     always a positive multiple of the true order of g; any excess has only
     prime factors above smooth_bound, which must lie in
     [2, MAX_SIEVE_BOUND]: at 10^8 a heuristic `ordersplit simulate` peaks
-    near 375 MiB.
+    near 350 MiB.
     """
     if not 2 <= smooth_bound <= MAX_SIEVE_BOUND:
         raise ValueError(f"smooth_bound must be in [2, {MAX_SIEVE_BOUND}]")

@@ -10,6 +10,7 @@ from ordersplit import ntcore
 from ordersplit.ntcore import (
     _CHUNK,
     MAX_SIEVE_BOUND,
+    _prime_chunks,
     _sieve,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
@@ -25,16 +26,16 @@ from ordersplit.ntcore import (
 
 class TestPrimesUpTo:
     def test_small(self):
-        assert primes_up_to(10) == [2, 3, 5, 7]
-        assert primes_up_to(1) == []
-        assert primes_up_to(0) == []
-        assert primes_up_to(2) == [2]
+        assert primes_up_to(10) == (2, 3, 5, 7)
+        assert primes_up_to(1) == ()
+        assert primes_up_to(0) == ()
+        assert primes_up_to(2) == (2,)
 
     def test_hundred_has_25(self):
         assert len(primes_up_to(100)) == 25
 
     def test_agrees_with_trial_division(self):
-        assert primes_up_to(10**5) == naive_sieve(10**5)
+        assert primes_up_to(10**5) == tuple(naive_sieve(10**5))
 
     def test_negative_bound(self):
         with pytest.raises(ValueError):
@@ -44,6 +45,42 @@ class TestPrimesUpTo:
         for bound in (MAX_SIEVE_BOUND + 1, 10**12):
             with pytest.raises(ValueError, match="at most"):
                 primes_up_to(bound)
+
+
+@pytest.fixture(scope="module")
+def trial_division_primes():
+    """The primes <= 1009^2 + 1, the largest bound TestSieve checks."""
+    return naive_sieve(1009**2 + 1)
+
+
+class TestSieve:
+    """The odd-only sieve against trial division, at every small bound and
+    at the bounds where the sieve's arithmetic changes."""
+
+    def test_every_bound_to_3000_and_edge_bounds(self, trial_division_primes):
+        squares = [p * p + d for p in (997, 1009) for d in (-1, 0, 1)]
+        edges = (65535, 65536, 999983, 10**6, 10**6 + 1, *squares)
+        for b in (*range(3001), *edges):
+            expected = trial_division_primes[:bisect.bisect_right(
+                trial_division_primes, b)]
+            assert _sieve(b) == tuple(expected), b
+
+    def test_prime_chunks_at_1e6(self, trial_division_primes):
+        reference = trial_division_primes[:bisect.bisect_right(
+            trial_division_primes, 10**6)]
+        assert _prime_chunks(10**6) == tuple(
+            (i, math.prod(reference[i:i + _CHUNK]))
+            for i in range(0, len(reference), _CHUNK))
+
+    @pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
+                        reason="long-mode sieve to 10^8; set ORDERSPLIT_LONG=1")
+    def test_sieve_at_the_limit_long_mode(self):
+        try:
+            primes = _sieve(MAX_SIEVE_BOUND)
+            assert len(primes) == 5761455  # pi(10^8)
+            assert primes[-1] == 99999989
+        finally:
+            _sieve.cache_clear()
 
 
 def _smooth_part_by_trial_division(n, bound):
