@@ -59,7 +59,8 @@ def _sieve(bound: int) -> tuple[int, ...]:
             p = 2 * i + 1
             start = p * p // 2
             flags[start::p] = bytes(len(range(start, len(flags), p)))
-    return (2, *itertools.compress(range(1, bound + 1, 2), flags))
+    return tuple(itertools.chain(
+        (2,), itertools.compress(range(1, bound + 1, 2), flags)))
 
 
 @lru_cache(maxsize=128)
@@ -104,8 +105,6 @@ def smooth_part(n: int, bound: int) -> tuple[dict[int, int], int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_sieve_bound(bound)
-    if bound < 2:
-        return {}, n
     primes = _sieve(bound)
     found: dict[int, int] = {}
     rem = n

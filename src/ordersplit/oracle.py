@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from ordersplit.ntcore import (MAX_SIEVE_BOUND, _strong_liar,
+from ordersplit.ntcore import (MAX_SIEVE_BOUND, _jacobi, _strong_liar,
                                is_probable_prime, multiplicative_order,
                                primes_up_to, smooth_part, split_two_adic)
 
@@ -151,10 +151,13 @@ def _passes_strong_tests(c: int, rng: random.Random) -> bool:
     in full; only tests whose outcome is known in advance are skipped.
     A base that passes for c passes modulo every divisor of c, so when
     the small-factor part s of c is proper (1 < s < c), a base failing
-    modulo s is a witness and needs no test modulo c. Otherwise, once the
-    first base passes and ``is_probable_prime`` finds c prime, the other
-    bases are drawn untested, because a prime has no witness; for a
-    random.Random they are drawn without randrange, from the same stream
+    modulo s is a witness and needs no test modulo c. So is a base with
+    a^((c-1)/2) != (a/c) (mod s), as every strong liar for c is an Euler
+    liar, a^((c-1)/2) = (a/c) (mod c) (Pomerance, Selfridge & Wagstaff,
+    Math. Comp. 35, 1980). Otherwise, once the first base passes and
+    ``is_probable_prime`` finds c prime, the other bases are drawn
+    untested, because a prime has no witness; for a random.Random they
+    are drawn without randrange, from the same stream
     (``_skip_randrange``).
     """
     t, d = split_two_adic(c - 1)
@@ -162,7 +165,9 @@ def _passes_strong_tests(c: int, rng: random.Random) -> bool:
     if 1 < s < c:
         for _ in range(_SAMPLER_ROUNDS):
             a = rng.randrange(2, c - 1)
-            if not (_strong_liar(a, d, t, s) and _strong_liar(a, d, t, c)):
+            if not (_strong_liar(a, d, t, s)
+                    and pow(a, c >> 1, s) == _jacobi(a, c) % s
+                    and _strong_liar(a, d, t, c)):
                 return False
         return True
     if not _strong_liar(rng.randrange(2, c - 1), d, t, c):
@@ -186,17 +191,18 @@ def generate_instance(l: int, n: int, e_max: int,
 
     Seeded instances, and every draw after them, rest on exactly these
     draws: one base per test, stopping at the first witness. The tests
-    themselves take two shortcuts (see ``_passes_strong_tests``): a
+    themselves take three shortcuts (see ``_passes_strong_tests``): a
     candidate with a small prime factor is first tested modulo that part,
-    and a candidate that ``is_probable_prime`` finds prime has its last
-    63 bases drawn but not tested, without randrange when ``rng`` is a
-    random.Random, from the same stream. The draws and the verdicts are
-    those of the full tests for every l <= 81, below psi_13 ~ 3.3e24, where
-    ``is_probable_prime`` is exact: by proof outside [psi_4, 2^64), and
-    inside it because no base-2 strong pseudoprime below 2^64 passes the
-    Baillie-PSW test (checked against all of them). Above psi_13 they
-    could differ only if a Baillie-PSW pseudoprime were drawn, and none is
-    known.
+    a base that passes there is then checked to be an Euler-Jacobi liar
+    modulo it (every strong liar is one), and a candidate that
+    ``is_probable_prime`` finds prime has its last 63 bases drawn but not
+    tested, without randrange when ``rng`` is a random.Random, from the
+    same stream. The draws and the verdicts are those of the full tests
+    for every l <= 81, below psi_13 ~ 3.3e24, where ``is_probable_prime``
+    is exact: by proof outside [psi_4, 2^64), and inside it because no
+    base-2 strong pseudoprime below 2^64 passes the Baillie-PSW test
+    (checked against all of them). Above psi_13 they could differ only if
+    a Baillie-PSW pseudoprime were drawn, and none is known.
     """
     if l < 3:
         raise InfeasibleParametersError("prime bit length must be >= 3")
@@ -362,7 +368,7 @@ def simulate_order(instance: Instance, smooth_bound: int,
     always a positive multiple of the true order of g; any excess has only
     prime factors above smooth_bound, which must lie in
     [2, MAX_SIEVE_BOUND]: at 10^8 a heuristic `ordersplit simulate` peaks
-    near 350 MiB.
+    near 312 MiB.
     """
     if not 2 <= smooth_bound <= MAX_SIEVE_BOUND:
         raise ValueError(f"smooth_bound must be in [2, {MAX_SIEVE_BOUND}]")

@@ -117,8 +117,9 @@ class TestSmallPrimeDivisors:
                 smooth_part(10**20 + 39, bound)
 
     def test_bound_below_two(self):
-        for bound in (0, 1):
-            assert smooth_part(2 * 3 * 5, bound) == ({}, 30)
+        for bound in (-1, 0, 1):
+            for n in (2 * 3 * 5, 2**3 * 3**2 * 5):
+                assert smooth_part(n, bound) == ({}, n)
 
     def test_prime_at_and_just_above_bound(self):
         # 9973 is the largest prime below 10^4; past the first chunk it is

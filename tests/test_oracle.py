@@ -8,8 +8,8 @@ import pytest
 from conftest import brute_force_order, trial_division_factorization
 from ordersplit import oracle
 from ordersplit.harness import _trial_rng
-from ordersplit.ntcore import (_sieve, _strong_probable_prime, primes_up_to,
-                               smooth_part)
+from ordersplit.ntcore import (_sieve, _strong_liar, _strong_probable_prime,
+                               primes_up_to, smooth_part, split_two_adic)
 from ordersplit.oracle import (
     InfeasibleParametersError,
     Instance,
@@ -119,19 +119,37 @@ class TestGenerateInstance:
         assert inst.primes == (17853789038713974721, 16830325204401868543,
                                10701286004744145791)
         assert rng.random() == 0.40416338946274066
+        rng = random.Random(3)
+        inst = generate_instance(256, 2, 1, rng)
+        assert inst.primes == (
+            0xeba9d4993fef8d399c0efa1d4711f4df5dad1a184d495e412351252cbee5630f,
+            0xff8b260ecf86653b890f1d8d19baabc6c374437f21ef902a734a5d84c6af1c41)
+        assert rng.random() == 0.7475301207854406
         # the first trial of criterion 3 (the Shor baseline)
         rng = _trial_rng(20260809 + 2, ("shor-baseline", 16), 0)
         assert generate_instance(16, 2, 1, rng).primes == (45337, 59447)
         assert rng.random() == 0.6439323729680146
 
     def test_same_draws_as_the_full_test_loop(self):
-        for l, n, e_max, seeds in ((16, 5, 2, range(500)),
-                                   (64, 3, 1, range(100))):
-            for seed in seeds:
-                rng, ref_rng = random.Random(seed), random.Random(seed)
-                assert generate_instance(l, n, e_max, rng) == \
-                    _generate_by_full_tests(l, n, e_max, ref_rng), (l, seed)
-                assert rng.getstate() == ref_rng.getstate(), (l, seed)
+        _check_same_draws(((16, 5, 2, range(500)), (64, 3, 1, range(100)),
+                           (256, 2, 1, range(20))))
+
+    @pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
+                        reason="long-mode reference check; "
+                               "set ORDERSPLIT_LONG=1")
+    def test_same_draws_as_the_full_test_loop_long_mode(self):
+        _check_same_draws(((512, 2, 1, range(3)), (1024, 2, 1, range(3))))
+
+
+def _check_same_draws(cases):
+    """generate_instance against _generate_by_full_tests: the same
+    instance and the same rng state after it, per (l, n, e_max, seeds)."""
+    for l, n, e_max, seeds in cases:
+        for seed in seeds:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert generate_instance(l, n, e_max, rng) == \
+                _generate_by_full_tests(l, n, e_max, ref_rng), (l, seed)
+            assert rng.getstate() == ref_rng.getstate(), (l, seed)
 
 
 def _generate_by_full_tests(l, n, e_max, rng):
@@ -161,15 +179,91 @@ class _ScriptedRng:
         return self.bases.pop(0)
 
 
+def _record_moduli(monkeypatch):
+    """The list of moduli that oracle._strong_liar is called with, from now."""
+    moduli = []
+
+    def recording(a, d, t, n):
+        moduli.append(n)
+        return _strong_liar(a, d, t, n)
+
+    monkeypatch.setattr(oracle, "_strong_liar", recording)
+    return moduli
+
+
 class TestPassesStrongTests:
-    def test_small_factor_check_passes_and_the_full_test_runs(self):
+    def test_small_factor_check_passes_and_the_full_test_runs(self,
+                                                              monkeypatch):
         # 6025 = 5^2 * 241 has small-factor part s = 1205: 418 is a strong
-        # liar for 6025, and 177 passes modulo 1205 but is a witness for
-        # 6025. For 6241 = 79^2 (s = 79), 31 is a liar and 2 such a base.
-        for c, liar, hidden_witness in ((6025, 418, 177), (6241, 31, 2)):
+        # liar for 6025, and 177 passes modulo 1205 and the Euler-Jacobi
+        # check but is a witness for 6025. For 6241 = 79^2 (s = 79), 31 is
+        # a liar and 2 such a base.
+        moduli = _record_moduli(monkeypatch)
+        for c, s, liar, hidden_witness in ((6025, 1205, 418, 177),
+                                           (6241, 79, 31, 2)):
+            moduli.clear()
             rng = _ScriptedRng([liar, hidden_witness])
             assert not _passes_strong_tests(c, rng)
             assert rng.calls == [(2, c - 1)] * 2
+            assert moduli == [s, c, s, c]
+
+    def test_a_base_failing_the_euler_jacobi_check_is_a_witness(self,
+                                                               monkeypatch):
+        # 10405 = 5 * 2081 (s = 5): 102 is a strong liar for 10405, and 3
+        # passes modulo 5, but (3/10405) = 1 while 3^5202 = -1 (mod 5), so
+        # 3 is no Euler liar and its test modulo 10405 is skipped
+        moduli = _record_moduli(monkeypatch)
+        rng = _ScriptedRng([102, 3])
+        assert not _strong_probable_prime(10405, 3)
+        assert not _passes_strong_tests(10405, rng)
+        assert rng.calls == [(2, 10404)] * 2
+        assert moduli == [5, 10405, 5]
+
+    def test_the_euler_jacobi_check_keeps_every_strong_liar(self):
+        # A strong liar a for c is an Euler liar, a^((c-1)/2) = (a/c)
+        # (mod c) (Pomerance, Selfridge & Wagstaff 1980), so also modulo s.
+        # For every odd composite c < 6000 with a proper small-factor part
+        # s and every base that passes modulo s, 64 draws of that base get
+        # the full test's verdict.
+        passing = liars = 0
+        for c in range(9, 6000, 2):
+            s = math.gcd(c, oracle._SMALL_ODD_PRIMES_PRODUCT)
+            if not 1 < s < c:
+                continue
+            t, d = split_two_adic(c - 1)
+            residues = {r for r in range(s) if _strong_liar(r, d, t, s)}
+            for a in range(2, c - 1):
+                if a % s in residues:
+                    liar = _strong_liar(a, d, t, c)
+                    assert _passes_strong_tests(c, _ScriptedRng([a] * 64)) \
+                        == liar, (c, a)
+                    passing += 1
+                    liars += liar
+        assert (passing, liars) == (80692, 2032)
+
+    def test_the_euler_jacobi_check_finds_hidden_witnesses(self, monkeypatch):
+        # 32-bit composites with a proper small-factor part, one random
+        # base each that passes modulo s: the check skips the full test for
+        # some of them, each a witness, and lets the others through to it
+        moduli = _record_moduli(monkeypatch)
+        rng = random.Random(24)
+        rejected = tested_in_full = 0
+        while rejected + tested_in_full < 300:
+            c = rng.getrandbits(32) | (1 << 31) | 1
+            s = math.gcd(c, oracle._SMALL_ODD_PRIMES_PRODUCT)
+            t, d = split_two_adic(c - 1)
+            a = rng.randrange(2, c - 1)
+            if not (1 < s < c and _strong_liar(a, d, t, s)):
+                continue
+            moduli.clear()
+            verdict = _passes_strong_tests(c, _ScriptedRng([a] * 64))
+            if moduli == [s]:
+                assert not verdict and not _strong_probable_prime(c, a)
+                rejected += 1
+            else:
+                assert moduli[:2] == [s, c]
+                tested_in_full += 1
+        assert rejected > 50 and tested_in_full > 50
 
     def test_a_base_failing_modulo_the_small_factor_is_a_witness(self):
         rng = _ScriptedRng([418, 2])  # 2 fails the test modulo 1205

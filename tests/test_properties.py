@@ -152,7 +152,8 @@ def _split_at_a_bound(draw):
     i = draw(st.integers(0, len(_SWEPT) - 1))
     bound = _SWEPT[i] + draw(st.sampled_from((-1, 0, 1)))
     edge = _CHUNK * draw(st.integers(1, (len(_SWEPT) - 1) // _CHUNK))
-    near = [j for j in (i - 1, i, i + 1, edge - 1, edge) if j >= 0]
+    near = [j for j in (i - 1, i, i + 1, edge - 1, edge)
+            if 0 <= j < len(_SWEPT)]
     picks = draw(st.lists(st.sampled_from(near)
                           | st.integers(0, len(_SWEPT) - 1),
                           min_size=1, max_size=5, unique=True))
