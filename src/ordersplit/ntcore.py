@@ -46,6 +46,8 @@ _CHUNK = 256
 # Chunks swept before smooth_part tests what is left for
 # primality; earlier, the sweep's own p^2 > rem stop is usually cheaper.
 _CHUNKS_BEFORE_PRIME_TEST = 4
+# The _CHUNK-th prime: _prime_chunks(_FIRST_CHUNK_BOUND) is one chunk.
+_FIRST_CHUNK_BOUND = 1619
 
 
 @lru_cache(maxsize=128)
@@ -278,7 +280,7 @@ def integer_nth_root(x: int, n: int) -> int:
 def _power_residue_moduli(d: int) -> tuple[tuple[int, int], ...]:
     """The first four primes q = 1 (mod d), each with (q - 1) // d.
 
-    One entry per prime d below the largest bit length reduced so far.
+    One entry per prime exponent d tried so far.
     """
     moduli = []
     q = 1
@@ -302,12 +304,35 @@ def _may_be_power(z: int, d: int) -> bool:
     return True
 
 
+def _exponents_to_try(z: int) -> tuple[int, ...]:
+    """The primes d for which z >= 2 may be a d-th power.
+
+    If a prime p <= 1619 (the first _CHUNK primes) divides z with
+    multiplicity v, a d-th power has d | v, so d runs over the primes
+    dividing v. Otherwise any base of z exceeds 1619 > 2^10, so
+    z > 2^(10 d) and d <= (bitlen(z) - 1) // 10.
+    """
+    ((_, product),) = _prime_chunks(_FIRST_CHUNK_BOUND)
+    g = math.gcd(z, product)
+    if g == 1:
+        return _sieve((z.bit_length() - 1) // 10)
+    p = next(p for p in _sieve(_FIRST_CHUNK_BOUND) if g % p == 0)
+    v = 0
+    while z % p == 0:  # strip p, p^2, p^4, ... while they divide
+        q, k = p, 1
+        while z % q == 0:
+            z, v, q, k = z // q, v + k, q * q, 2 * k
+    return tuple(d for d in _sieve(v) if v % d == 0)
+
+
 def perfect_power_reduce(z: int) -> tuple[int, int]:
     """Reduce z to (base, exp) with base**exp == z and base not a power.
 
     exp == 1 iff z is not a perfect power. Only prime exponents d are
-    probed (z = y^(d1*d2) is also a d1-th power). A residue sieve modulo
-    four primes q = 1 (mod d) rules out most d (Bach & Sorenson 1993;
+    probed (z = y^(d1*d2) is also a d1-th power), and only those that a
+    small prime factor's multiplicity, or failing one the bit length,
+    leaves possible (``_exponents_to_try``). A residue sieve modulo four
+    primes q = 1 (mod d) rules out most d (Bach & Sorenson 1993;
     Bernstein 1998); each d it leaves gets an exact integer d-th root, and
     the reduction is repeated until the base is not itself a power.
     """
@@ -317,7 +342,7 @@ def perfect_power_reduce(z: int) -> tuple[int, int]:
     reduced = True
     while reduced:
         reduced = False
-        for d in _sieve(base.bit_length() - 1):
+        for d in _exponents_to_try(base):
             if not _may_be_power(base, d):
                 continue
             root = integer_nth_root(base, d)

@@ -115,6 +115,13 @@ def _odd_prime_count(bits: int) -> int:
 # product is its small-factor part (about 85% of odd candidates have one).
 _SMALL_ODD_PRIMES_PRODUCT = math.prod(primes_up_to(2000)[1:])
 _SAMPLER_ROUNDS = 64
+# The sampler's screen trial-divides an l-bit candidate by the primes in
+# (2000, B(l)], B(l) = l^2 / _SCREEN_DIVISOR up to _SCREEN_BOUND_CAP: at
+# l = 1024, 16 timed best of 4, 8, 16 and 32 (8 and 16 within noise).
+_SCREEN_DIVISOR = 16
+_SCREEN_BOUND_CAP = 1 << 20
+# The least l with a prime, 2003, in (2000, l^2 / _SCREEN_DIVISOR].
+_SCREEN_MIN_BITS = 180
 # exact_order factors p - 1 by trial division and rho: desk-scale primes only
 EXACT_ORDER_BIT_LIMIT = 64
 _TRIAL_BOUND = 10**6  # the largest prime _factor_completely trial-divides by
@@ -143,6 +150,21 @@ def _skip_randrange(rng: random.Random, start: int, stop: int,
             pass
 
 
+def _screen_bound(l: int) -> int:
+    """B(l) = l^2 / _SCREEN_DIVISOR, capped at _SCREEN_BOUND_CAP."""
+    return min(l * l // _SCREEN_DIVISOR, _SCREEN_BOUND_CAP)
+
+
+@lru_cache(maxsize=16)
+def _medium_odd_primes_product(l: int) -> int:
+    """M_l, the product of the primes in (2000, B(l)], 1 below
+    _SCREEN_MIN_BITS bits, from one sieve per power of two."""
+    bound = _screen_bound(l)
+    primes = primes_up_to(1 << (bound - 1).bit_length())
+    return math.prod(primes[bisect.bisect_right(primes, 2000):
+                            bisect.bisect_right(primes, bound)])
+
+
 def _passes_strong_tests(c: int, rng: random.Random) -> bool:
     """Whether odd c > 3 passes _SAMPLER_ROUNDS strong tests, each to a
     fresh base rng.randrange(2, c - 1), stopping at the first witness.
@@ -154,29 +176,39 @@ def _passes_strong_tests(c: int, rng: random.Random) -> bool:
     modulo s is a witness and needs no test modulo c. So is a base with
     a^((c-1)/2) != (a/c) (mod s), as every strong liar for c is an Euler
     liar, a^((c-1)/2) = (a/c) (mod c) (Pomerance, Selfridge & Wagstaff,
-    Math. Comp. 35, 1980). Otherwise, once the first base passes and
-    ``is_probable_prime`` finds c prime, the other bases are drawn
-    untested, because a prime has no witness; for a random.Random they
-    are drawn without randrange, from the same stream
-    (``_skip_randrange``).
+    Math. Comp. 35, 1980). Before the first full test of an l-bit c, one
+    gcd with M_l finds its primes in (2000, B(l)], and they join s: trial
+    division pays up to B ~ E/D, E the time of an l-bit modexp and D that
+    of ruling out one prime (Menezes, van Oorschot & Vanstone, Handbook
+    of Applied Cryptography, Note 4.45), and E ~ l^3, D ~ l. Otherwise,
+    once the first base passes and ``is_probable_prime`` finds c prime,
+    the other bases are drawn untested, because a prime has no witness;
+    for a random.Random they are drawn without randrange, from the same
+    stream (``_skip_randrange``).
     """
     t, d = split_two_adic(c - 1)
     s = math.gcd(c, _SMALL_ODD_PRIMES_PRODUCT)
-    if 1 < s < c:
-        for _ in range(_SAMPLER_ROUNDS):
-            a = rng.randrange(2, c - 1)
-            if not (_strong_liar(a, d, t, s)
-                    and pow(a, c >> 1, s) == _jacobi(a, c) % s
-                    and _strong_liar(a, d, t, c)):
-                return False
-        return True
-    if not _strong_liar(rng.randrange(2, c - 1), d, t, c):
-        return False
-    if is_probable_prime(c):
-        _skip_randrange(rng, 2, c - 1, _SAMPLER_ROUNDS - 1)
-        return True
-    return all(_strong_liar(rng.randrange(2, c - 1), d, t, c)
-               for _ in range(_SAMPLER_ROUNDS - 1))
+    if not 1 < s < c:
+        s = 1
+    for i in range(_SAMPLER_ROUNDS):
+        a = rng.randrange(2, c - 1)
+        if s > 1 and not (_strong_liar(a, d, t, s)
+                          and pow(a, c >> 1, s) == _jacobi(a, c) % s):
+            return False
+        # M_l is empty below _SCREEN_MIN_BITS, and no gcd runs there
+        if i == 0 and c >> _SCREEN_MIN_BITS - 1:
+            f = math.gcd(c, _medium_odd_primes_product(c.bit_length()))
+            if f > 1:
+                s *= f
+                if not (_strong_liar(a, d, t, s)
+                        and pow(a, c >> 1, s) == _jacobi(a, c) % s):
+                    return False
+        if not _strong_liar(a, d, t, c):
+            return False
+        if i == 0 and s == 1 and is_probable_prime(c):
+            _skip_randrange(rng, 2, c - 1, _SAMPLER_ROUNDS - 1)
+            return True
+    return True
 
 
 def generate_instance(l: int, n: int, e_max: int,
@@ -191,18 +223,21 @@ def generate_instance(l: int, n: int, e_max: int,
 
     Seeded instances, and every draw after them, rest on exactly these
     draws: one base per test, stopping at the first witness. The tests
-    themselves take three shortcuts (see ``_passes_strong_tests``): a
+    themselves take four shortcuts (see ``_passes_strong_tests``): a
     candidate with a small prime factor is first tested modulo that part,
     a base that passes there is then checked to be an Euler-Jacobi liar
-    modulo it (every strong liar is one), and a candidate that
-    ``is_probable_prime`` finds prime has its last 63 bases drawn but not
-    tested, without randrange when ``rng`` is a random.Random, from the
-    same stream. The draws and the verdicts are those of the full tests
-    for every l <= 81, below psi_13 ~ 3.3e24, where ``is_probable_prime``
-    is exact: by proof outside [psi_4, 2^64), and inside it because no
-    base-2 strong pseudoprime below 2^64 passes the Baillie-PSW test
-    (checked against all of them). Above psi_13 they could differ only if
-    a Baillie-PSW pseudoprime were drawn, and none is known.
+    modulo it (every strong liar is one), a candidate of l >= 180 bits
+    first has its primes in (2000, l^2/16] found by one gcd and joined to
+    that part (HAC Note 4.45's trial-division bound B ~ E/D), and a
+    candidate that ``is_probable_prime`` finds prime has its last 63
+    bases drawn but not tested, without randrange when ``rng`` is a
+    random.Random, from the same stream. The draws and the verdicts are
+    those of the full tests for every l <= 81, below psi_13 ~ 3.3e24,
+    where ``is_probable_prime`` is exact: by proof outside [psi_4, 2^64),
+    and inside it because no base-2 strong pseudoprime below 2^64 passes
+    the Baillie-PSW test (checked against all of them). Above psi_13 they
+    could differ only if a Baillie-PSW pseudoprime were drawn, and none
+    is known.
     """
     if l < 3:
         raise InfeasibleParametersError("prime bit length must be >= 3")

@@ -564,8 +564,26 @@ class TestPerfectPowerReduce:
             assert perfect_power_reduce(y**k) == (y, k)
             assert perfect_power_reduce(y**(k * 7)) == (y, k * 7)
 
+    def test_exponents_from_a_small_prime_multiplicity(self):
+        # 3 | z with v = 1: no power; v prime: only d = v; v composite:
+        # its prime divisors; no prime <= 1619 divides z: d from bitlen / 10
+        y = 1621 * 1627  # no prime <= 1619 divides y
+        assert ntcore._exponents_to_try(3 * y**6) == ()
+        assert perfect_power_reduce(3 * y**6) == (3 * y**6, 1)
+        assert ntcore._exponents_to_try(3**7 * y**7) == (7,)
+        assert perfect_power_reduce(3**7 * y**7) == (3 * y, 7)
+        assert perfect_power_reduce(3**14 * y**3) == (3**14 * y**3, 1)
+        assert ntcore._exponents_to_try(5**12 * y**12) == (2, 3)
+        assert perfect_power_reduce(5**12 * y**12) == (5 * y, 12)
+        assert perfect_power_reduce(1619**30) == (1619, 30)
+        for base in (1621, 1627, y):
+            assert ntcore._exponents_to_try(base**3) == \
+                _sieve((base**3).bit_length() // 10)
+            for k in (2, 3, 4, 11, 30):
+                assert perfect_power_reduce(base**k) == (base, k), (base, k)
+                assert perfect_power_reduce(base**k + 2) == (base**k + 2, 1)
+
     def test_sieve_moduli_are_the_first_primes_one_mod_d(self):
-        perfect_power_reduce(3**2047)  # fills the cache for every d < 2048
         sieve = set(_sieve(10**6))
         for d in primes_up_to(2047):
             moduli = ntcore._power_residue_moduli(d)

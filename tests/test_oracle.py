@@ -8,7 +8,8 @@ import pytest
 from conftest import brute_force_order, trial_division_factorization
 from ordersplit import oracle
 from ordersplit.harness import _trial_rng
-from ordersplit.ntcore import (_sieve, _strong_liar, _strong_probable_prime,
+from ordersplit.ntcore import (MAX_SIEVE_BOUND, _sieve, _strong_liar,
+                               _strong_probable_prime, is_probable_prime,
                                primes_up_to, smooth_part, split_two_adic)
 from ordersplit.oracle import (
     InfeasibleParametersError,
@@ -132,7 +133,7 @@ class TestGenerateInstance:
 
     def test_same_draws_as_the_full_test_loop(self):
         _check_same_draws(((16, 5, 2, range(500)), (64, 3, 1, range(100)),
-                           (256, 2, 1, range(20))))
+                           (256, 2, 1, range(20)), (512, 2, 1, range(2))))
 
     @pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
                         reason="long-mode reference check; "
@@ -289,6 +290,107 @@ class TestPassesStrongTests:
             rng = _ScriptedRng([liar, liar, 3])
             assert not _passes_strong_tests(c, rng)
             assert len(rng.calls) == 3
+
+
+def _next_prime(x):
+    while not is_probable_prime(x):
+        x += 1
+    return x
+
+
+class TestMediumPrimeScreen:
+    def test_a_medium_factor_is_tested_first(self, monkeypatch):
+        # c = small * f * q, f = 2003 in (2000, B(256)], q a prime, c of 256
+        # bits: s = small until the screen finds f, then s = small * f. A
+        # witness modulo s costs no test modulo c, a base that passes there
+        # gets one, and so does every later base, after a strong liar.
+        f = 2003
+        for small in (1, 3):
+            q = (1 << 255) // (small * f)
+            while True:  # until c - 1 and f - 1 share an odd factor
+                q = _next_prime(q + 1)
+                c = small * f * q
+                t, d = split_two_adic(c - 1)
+                root = next((b for b in range(2, f - 1)
+                             if pow(b, d, f) == 1), None)
+                if root is not None:
+                    break
+            assert c.bit_length() == 256
+            assert math.gcd(c, oracle._SMALL_ODD_PRIMES_PRODUCT) == small
+            assert math.gcd(c, oracle._medium_odd_primes_product(256)) == f
+
+            def passes(a, n):  # the strong test and the Euler-Jacobi check
+                return (_strong_liar(a, d, t, n)
+                        and pow(a, c >> 1, n) == oracle._jacobi(a, c) % n)
+
+            s = small * f
+            liar = _crt([1, root], [small * q, f])  # a^d = 1 (mod c)
+            witness = next(a for a in range(2, c - 1)
+                           if passes(a, small) and not passes(a, s))
+            hidden_witness = next(a for a in range(2, c - 1)
+                                  if passes(a, s)
+                                  and not _strong_liar(a, d, t, c))
+            assert _strong_probable_prime(c, liar)
+            before = [small] if small > 1 else []
+            moduli = _record_moduli(monkeypatch)
+            for bases, verdict, tested in (
+                    ([witness], False, [s]),
+                    ([hidden_witness], False, [s, c]),
+                    ([liar, hidden_witness], False, [s, c, s, c]),
+                    ([liar] * 64, True, [s, c] * 64)):
+                moduli.clear()
+                assert _passes_strong_tests(c, _ScriptedRng(bases)) == verdict
+                assert moduli == before + tested, (small, bases)
+
+    def test_no_gcd_below_180_bits(self, monkeypatch):
+        # exact-16 and sim-64 draw their instances down the parent's path
+        assert oracle._medium_odd_primes_product(179) == 1
+        assert oracle._medium_odd_primes_product(180) == 2003 * 2011 * 2017
+
+        def refuse(l):
+            raise AssertionError(f"screen at {l} bits")
+
+        monkeypatch.setattr(oracle, "_medium_odd_primes_product", refuse)
+        for l in (16, 64, 179):
+            for seed in range(3):
+                generate_instance(l, 2, 1, random.Random(seed))
+        with pytest.raises(AssertionError, match="screen at 180 bits"):
+            generate_instance(180, 2, 1, random.Random(0))
+
+    def test_the_screen_rejects_only_witnesses(self, monkeypatch):
+        # 300-bit c = f * m, f a prime in (2000, B(300)] and m free of the
+        # primes <= B(300): each base the screen rejects is a witness, and
+        # most random bases are rejected there
+        moduli = _record_moduli(monkeypatch)
+        rng = random.Random(23)
+        bound = oracle._screen_bound(300)
+        medium = [p for p in primes_up_to(bound) if p > 2000]
+        rejected = tested_in_full = 0
+        while rejected + tested_in_full < 300:
+            f = rng.choice(medium)
+            m = rng.getrandbits(300 - f.bit_length()) | 1
+            c = f * m
+            if c.bit_length() != 300 or smooth_part(m, bound)[0]:
+                continue
+            a = rng.randrange(2, c - 1)
+            moduli.clear()
+            verdict = _passes_strong_tests(c, _ScriptedRng([a] * 64))
+            if moduli == [f]:
+                assert not verdict and not _strong_probable_prime(c, a)
+                rejected += 1
+            else:
+                assert moduli[:2] == [f, c]
+                tested_in_full += 1
+        assert rejected > 250
+
+    def test_the_bound_stays_under_its_cap(self):
+        # no l, and so no `ordersplit simulate --l`, sieves past
+        # MAX_SIEVE_BOUND through the screen
+        cap = oracle._SCREEN_BOUND_CAP
+        assert 1 << (cap - 1).bit_length() <= MAX_SIEVE_BOUND
+        assert all(oracle._screen_bound(l) <= cap for l in range(10**5 + 1))
+        assert [oracle._screen_bound(l) for l in (256, 512, 1024)] == \
+            [4096, 16384, 65536]
 
 
 class _CountingRandom(random.Random):
