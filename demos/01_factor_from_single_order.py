@@ -46,7 +46,7 @@ print(f"(smoothness bound m' = {guess.m_prime}, "
       f"r' has {guess.r_prime.bit_length()} bits)")
 
 # Manual walk of the first few iterations, narrated.
-factors = FactorSet(N, entries=(N,))
+factors = FactorSet(N)
 iteration = 0
 while not factors.complete and iteration < 32:
     iteration += 1

@@ -29,6 +29,7 @@ from functools import lru_cache
 from ordersplit.ntcore import (
     eta,
     is_probable_prime,
+    multiplicity,
     perfect_power_reduce,
     primes_up_to,
     smooth_part,
@@ -97,14 +98,6 @@ def guess_multiple(r: int, m: int, c: int = 1) -> GuessedExponent:
     return GuessedExponent(r_prime=r_prime, t=t, o=o, c=c, m_prime=m_prime)
 
 
-def _multiplicity(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Prime powers (p, e) with distinct primes in ascending order."""
@@ -131,25 +124,21 @@ class FactorSet:
     first needs it, so an entry split again before then is never tested.
     Entries are reduced to non-power bases on first read too, in place,
     and only those found composite: a prime entry is never reduced. The
-    constructor's entries are reduced on insertion. ``factorization``
+    set starts from the target's non-power base, reduced on construction,
+    so a prime power target is resolved before any split. ``factorization``
     lists the prime entries with their full multiplicities in N, computed
     on read and kept until the next insertion, and ``complete`` holds when
     those prime powers multiply back to N.
     """
 
-    def __init__(self, target: int, *, entries=()):
+    def __init__(self, target: int):
         if target < 2:
             raise ValueError("target must be >= 2")
         self.target = target
         self._values: dict[int, bool | None] = {}  # None: not yet tested
-        self._bases: set[int] = set()  # reduced already: not perfect powers
         self._factorization: Factorization | None = None
-        for v in entries:
-            if not 1 < v <= target or target % v != 0:
-                raise ValueError(f"{v} is not a nontrivial divisor of {target}")
-            base, _ = perfect_power_reduce(v)
-            self._bases.add(base)
-            self._insert(base)
+        self._base, _ = perfect_power_reduce(target)  # not a perfect power
+        self._insert(self._base)
 
     def _insert(self, value: int) -> None:
         self._factorization = None
@@ -176,7 +165,7 @@ class FactorSet:
         for v, prime in self._values.items():
             if prime is None:
                 prime = is_probable_prime(v)
-                if not prime and v not in self._bases:
+                if not prime and v != self._base:
                     base, exp = perfect_power_reduce(v)
                     if exp > 1:  # the base takes the power's place
                         v, prime = base, is_probable_prime(base)
@@ -189,7 +178,7 @@ class FactorSet:
         if self._factorization is None:
             primes = sorted(v for v, prime in self._verdicts().items() if prime)
             self._factorization = Factorization(
-                tuple((p, _multiplicity(self.target, p)) for p in primes))
+                tuple((p, multiplicity(self.target, p)) for p in primes))
         return self._factorization
 
     @property
@@ -315,7 +304,7 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     if N % 2 == 0 or N < 9:
         raise ValueError("N must be an odd composite >= 9; strip small "
                          "factors first")
-    fs = FactorSet(N, entries=(N,))
+    fs = FactorSet(N)
     if r < 1:
         raise ValueError("r must be >= 1")
     if k is not None and k < 1:

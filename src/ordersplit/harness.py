@@ -58,6 +58,10 @@ CSV_COLUMNS = [
     "failure_rate", "theoretical_bound", "mean_iterations",
     "mean_gcd_calls", "unlucky_events_observed", "wall_time_s",
 ]
+# the CellReport fields of the CSV columns named otherwise
+_CSV_FIELDS = {"successes": "complete_successes",
+               "failure_rate": "empirical_failure_rate",
+               "wall_time_s": "wall_time_seconds"}
 
 
 _GRID_FIELDS = ("l_values", "n_values", "emax_values")
@@ -161,17 +165,8 @@ class CellReport:
         return dataclasses.asdict(self)
 
     def to_row(self) -> dict:
-        return {
-            "l": self.l, "n": self.n, "e_max": self.e_max, "c": self.c,
-            "k_policy": self.k_policy, "B_s": self.B_s,
-            "trials": self.trials, "successes": self.complete_successes,
-            "failure_rate": self.empirical_failure_rate,
-            "theoretical_bound": self.theoretical_bound,
-            "mean_iterations": self.mean_iterations,
-            "mean_gcd_calls": self.mean_gcd_calls,
-            "unlucky_events_observed": self.unlucky_events_observed,
-            "wall_time_s": self.wall_time_seconds,
-        }
+        return {col: getattr(self, _CSV_FIELDS.get(col, col))
+                for col in CSV_COLUMNS}
 
 
 def _trial_rng(seed: int, cell, trial: int) -> random.Random:

@@ -15,6 +15,7 @@ __all__ = [
     "primes_up_to",
     "smooth_part",
     "eta",
+    "multiplicity",
     "split_two_adic",
     "is_probable_prime",
     "integer_nth_root",
@@ -122,10 +123,8 @@ def smooth_part(n: int, bound: int) -> tuple[dict[int, int], int]:
             continue
         for p in primes[start:start + _CHUNK]:
             if rem % p == 0:
-                found[p] = 0
-                while rem % p == 0:
-                    rem //= p
-                    found[p] += 1
+                found[p] = e = multiplicity(rem, p)
+                rem //= p**e
     if 1 < rem <= bound:  # the leftover prime lies within the bound
         found[rem], rem = 1, 1
     return found, rem
@@ -141,6 +140,19 @@ def eta(q: int, bound: int) -> int:
     while power * q <= bound:
         power *= q
         e += 1
+    return e
+
+
+def multiplicity(n: int, p: int) -> int:
+    """Largest e >= 0 with p**e dividing n >= 1, for p >= 2, found by
+    stripping p, p^2, p^4, ... while they divide."""
+    if n < 1 or p < 2:
+        raise ValueError(f"need n >= 1 and p >= 2, got n={n}, p={p}")
+    e = 0
+    while n % p == 0:
+        q, k = p, 1
+        while n % q == 0:
+            n, e, q, k = n // q, e + k, q * q, 2 * k
     return e
 
 
@@ -317,11 +329,7 @@ def _exponents_to_try(z: int) -> tuple[int, ...]:
     if g == 1:
         return _sieve((z.bit_length() - 1) // 10)
     p = next(p for p in _sieve(_FIRST_CHUNK_BOUND) if g % p == 0)
-    v = 0
-    while z % p == 0:  # strip p, p^2, p^4, ... while they divide
-        q, k = p, 1
-        while z % q == 0:
-            z, v, q, k = z // q, v + k, q * q, 2 * k
+    v = multiplicity(z, p)
     return tuple(d for d in _sieve(v) if v % d == 0)
 
 
@@ -333,23 +341,20 @@ def perfect_power_reduce(z: int) -> tuple[int, int]:
     small prime factor's multiplicity, or failing one the bit length,
     leaves possible (``_exponents_to_try``). A residue sieve modulo four
     primes q = 1 (mod d) rules out most d (Bach & Sorenson 1993;
-    Bernstein 1998); each d it leaves gets an exact integer d-th root, and
-    the reduction is repeated until the base is not itself a power.
+    Bernstein 1998); each d it leaves gets an exact integer d-th root,
+    taken again while the base stays a d-th power. One pass over z's
+    exponents suffices: if z = b^E with b not a power, every prime
+    dividing E is among them, and a d-th root leaves b^(E/d).
     """
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")
     base, exp = z, 1
-    reduced = True
-    while reduced:
-        reduced = False
-        for d in _exponents_to_try(base):
-            if not _may_be_power(base, d):
-                continue
+    for d in _exponents_to_try(z):
+        while _may_be_power(base, d):
             root = integer_nth_root(base, d)
-            if root**d == base:
-                base, exp = root, exp * d
-                reduced = True
+            if root**d != base:
                 break
+            base, exp = root, exp * d
     return base, exp
 
 

@@ -161,8 +161,12 @@ def _medium_odd_primes_product(l: int) -> int:
     _SCREEN_MIN_BITS bits, from one sieve per power of two."""
     bound = _screen_bound(l)
     primes = primes_up_to(1 << (bound - 1).bit_length())
-    return math.prod(primes[bisect.bisect_right(primes, 2000):
-                            bisect.bisect_right(primes, bound)])
+    values = primes[bisect.bisect_right(primes, 2000):
+                    bisect.bisect_right(primes, bound)]
+    while len(values) > 1:  # pairwise rounds: one math.prod is quadratic
+        values = [math.prod(values[i:i + 2])
+                  for i in range(0, len(values), 2)]
+    return math.prod(values)
 
 
 def _passes_strong_tests(c: int, rng: random.Random) -> bool:

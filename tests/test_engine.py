@@ -129,14 +129,14 @@ def _check_invariants(fs: FactorSet):
 
 class TestFactorSet:
     def test_split_15(self):
-        fs = FactorSet(15, entries=(15,))
+        fs = FactorSet(15)
         assert fs.add_factor(3)
         _check_invariants(fs)
         assert fs.entries == ((3, True), (5, True))
         assert fs.complete
 
     def test_successive_refinement_105(self):
-        fs = FactorSet(105, entries=(105,))
+        fs = FactorSet(105)
         fs.add_factor(15)
         _check_invariants(fs)
         assert {v for v, _ in fs.entries} == {15, 7}
@@ -155,7 +155,7 @@ class TestFactorSet:
         assert fs.factorization.pairs == ((3, 2),)
 
     def test_power_entries_are_reduced(self):
-        fs = FactorSet(225, entries=(225,))
+        fs = FactorSet(225)
         # 225 = 15^2 reduces to 15 on entry, which is composite
         assert fs.entries == ((15, False),)
         fs.add_factor(9)
@@ -164,7 +164,7 @@ class TestFactorSet:
         assert fs.factorization.pairs == ((3, 2), (5, 2))
 
     def test_add_factor_reports_a_new_entry_only(self):
-        fs = FactorSet(105, entries=(105,))
+        fs = FactorSet(105)
         assert fs.add_factor(15)  # 105 -> 15, 7
         assert not fs.add_factor(15)  # the same divisor again
         assert fs.add_factor(3)  # 15 -> 3, 5
@@ -172,7 +172,7 @@ class TestFactorSet:
         assert fs.entries == ((3, True), (5, True), (7, True))
 
     def test_rejects_non_divisors(self):
-        fs = FactorSet(15, entries=(15,))
+        fs = FactorSet(15)
         assert not fs.add_factor(7)
         assert not fs.add_factor(1)
         assert not fs.add_factor(15)
@@ -181,7 +181,7 @@ class TestFactorSet:
 
     def test_composite_entries(self):
         target = 21**2 * 143
-        fs = FactorSet(target, entries=(target,))
+        fs = FactorSet(target)
         assert fs.entries == ((target, False),)
         fs.add_factor(21)
         assert fs.entries == ((21, False), (143, False))
@@ -197,7 +197,7 @@ class TestFactorSet:
             n = rng.randrange(4, 10**6)
             if n % 2 == 0 or is_probable_prime(n):
                 continue
-            fs = FactorSet(n, entries=(n,))
+            fs = FactorSet(n)
             divisors = [d for d in range(2, min(n, 2000)) if n % d == 0]
             for _ in range(6):
                 if divisors:
@@ -207,8 +207,11 @@ class TestFactorSet:
                 assert fs.factorization.product() == n
 
     def test_entry_dividing_an_insert_keeps_its_verdict(self, monkeypatch):
-        fs = FactorSet(105, entries=(3, 35))  # 3 is met first below
+        fs = FactorSet(105)
+        fs.add_factor(35)  # 105 -> 35, 3
         assert fs.entries == ((3, True), (35, False))
+        # 3 is met first below, so 15 runs the "entry divides x" branch
+        assert next(iter(fs._values)) == 3
         tested = []
 
         def recording(z):
@@ -225,7 +228,7 @@ class TestFactorSet:
     def test_verdicts_on_entries_past_psi_13(self):
         p, q = 2**89 - 1, 2**127 - 1
         target = p**2 * q * 10007
-        fs = FactorSet(target, entries=(target,))
+        fs = FactorSet(target)
         assert fs.entries == ((target, False),)
         fs.add_factor(q)
         _check_invariants(fs)
@@ -237,13 +240,12 @@ class TestFactorSet:
 
     def test_repr_runs_no_primality_test(self, monkeypatch):
         pq = (2**521 - 1) * (2**607 - 1)  # a semiprime past 1024 bits
-        fs = FactorSet(3 * pq, entries=(3,))
-        assert fs.entries == ((3, True),)
-        assert fs.add_factor(pq)  # inserted untested
         tested = []
         monkeypatch.setattr(engine, "is_probable_prime", tested.append)
+        fs = FactorSet(3 * pq)
+        assert fs.add_factor(3)  # both pieces inserted untested
         assert repr(fs) == (f"FactorSet(target={3 * pq}, "
-                            f"entries=[(3, True), ({pq}, None)])")
+                            f"entries=[(3, None), ({pq}, None)])")
         assert tested == []
 
 
@@ -276,7 +278,7 @@ def _single_chain_reference(N, r, legs, *, k, rng):
     exponent e in legs, from x^e, and takes the gcd of each value with
     every composite entry, as read before that leg. Returns (complete,
     factorization, iterations)."""
-    fs = FactorSet(N, entries=(N,))
+    fs = FactorSet(N)
     fs.add_factor(math.gcd(N, r))
     m = N.bit_length()
     t = guess_multiple(r, m).t

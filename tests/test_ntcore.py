@@ -583,6 +583,20 @@ class TestPerfectPowerReduce:
                 assert perfect_power_reduce(base**k) == (base, k), (base, k)
                 assert perfect_power_reduce(base**k + 2) == (base**k + 2, 1)
 
+    def test_exponents_taken_once_per_call(self, monkeypatch):
+        calls = []
+        exponents_to_try = ntcore._exponents_to_try
+
+        def spy(z):
+            calls.append(z)
+            return exponents_to_try(z)
+
+        monkeypatch.setattr(ntcore, "_exponents_to_try", spy)
+        for y, k in ((3, 8000), (6, 1024), (7 * 11, 40)):
+            calls.clear()
+            assert perfect_power_reduce(y**k) == (y, k)
+            assert calls == [y**k], (y, k)
+
     def test_sieve_moduli_are_the_first_primes_one_mod_d(self):
         sieve = set(_sieve(10**6))
         for d in primes_up_to(2047):
@@ -592,6 +606,33 @@ class TestPerfectPowerReduce:
             assert all(q in sieve and q % d == 1 for q in qs), d
             assert [e for _, e in moduli] == [(q - 1) // d for q in qs]
             assert qs == [q for q in range(d + 1, qs[-1] + 1, d) if q in sieve]
+
+
+def _multiplicity_by_division(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+class TestMultiplicity:
+    def test_matches_division_loop(self):
+        cases = [(1, 3), (10, 3), (2**14000, 2), (3**8000, 3)]
+        rng = random.Random(24)
+        primes = primes_up_to(1619)
+        for _ in range(500):
+            p = rng.choice(primes)
+            m = rng.randrange(1, 1 << 64)  # p may divide m too
+            cases.append((p ** rng.randrange(200) * m, p))
+        for n, p in cases:
+            assert ntcore.multiplicity(n, p) == \
+                _multiplicity_by_division(n, p), (n, p)
+
+    def test_domain(self):
+        for n, p in ((0, 3), (-9, 3), (9, 1), (9, 0)):
+            with pytest.raises(ValueError):
+                ntcore.multiplicity(n, p)
 
 
 class TestMultiplicativeOrder:

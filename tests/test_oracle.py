@@ -392,6 +392,24 @@ class TestMediumPrimeScreen:
         assert [oracle._screen_bound(l) for l in (256, 512, 1024)] == \
             [4096, 16384, 65536]
 
+    def test_product_matches_one_sequential_prod(self):
+        _check_medium_product((180, 256, 1024, 2048))
+
+    @pytest.mark.skipif(os.environ.get("ORDERSPLIT_LONG") != "1",
+                        reason="long-mode product at the cap; "
+                               "set ORDERSPLIT_LONG=1")
+    def test_product_at_the_cap_long_mode(self):
+        _check_medium_product((4096,))  # B(4096) = _SCREEN_BOUND_CAP
+
+
+def _check_medium_product(ls):
+    """M_l, built in pairwise rounds, against one math.prod of its primes."""
+    for l in ls:
+        primes = [p for p in primes_up_to(oracle._screen_bound(l))
+                  if p > 2000]
+        assert oracle._medium_odd_primes_product.__wrapped__(l) == \
+            math.prod(primes), l
+
 
 class _CountingRandom(random.Random):
     """A random.Random subclass that counts its randrange calls."""

@@ -40,7 +40,7 @@ def _target_and_divisors(draw):
 @given(_target_and_divisors())
 def test_factor_set_stays_coprime_under_insertions(case):
     target, divisors = case
-    fs = FactorSet(target, entries=(target,))
+    fs = FactorSet(target)
     for d in divisors:
         fs.add_factor(d)
         values = [v for v, _ in fs.entries]
@@ -119,8 +119,8 @@ def _observed(fs):
 @given(_power_rich_insertions())
 def test_lazy_reduction_matches_eager_reduction(case):
     target, insertions = case
-    lazy = FactorSet(target, entries=(target,))
-    eager = _EagerFactorSet(target, entries=(target,))
+    lazy = FactorSet(target)
+    eager = _EagerFactorSet(target)
     for d, read in insertions:
         assert lazy.add_factor(d) == eager.add_factor(d)
         if read:
