@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 incomplete factorization, 64 usage error,
 65 infeasible parameters. All big integers in JSON output are decimal
-strings. The seed comes from --seed, or from the ORDER_SPLIT_SEED
-environment variable when the flag is absent.
+strings.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
+import math
 import random
 import sys
 from pathlib import Path
@@ -39,8 +38,6 @@ EXIT_OK = 0
 EXIT_INCOMPLETE = 2
 EXIT_USAGE = 64
 EXIT_INFEASIBLE = 65
-
-SEED_ENV_VAR = "ORDER_SPLIT_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,18 +72,6 @@ def _integer(low: int, high: int | None = None):
 
 def _parse_k(text: str):
     return None if text == "auto" else _integer(1)(text)
-
-
-def _resolve_seed(flag_value):
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
 @functools.cache
@@ -156,7 +141,7 @@ def cmd_factor(args) -> int:
                           f"{MAX_SIEVE_BOUND}, got {args.c} * "
                           f"{args.N.bit_length()}")
     outcome = factor_with_order(args.N, args.r, c=args.c, k=args.k,
-                                rng=random.Random(_resolve_seed(args.seed)))
+                                rng=random.Random(args.seed))
     print(json.dumps({
         "N": str(args.N),
         "factors": [{"p": str(p), "e": e}
@@ -170,7 +155,16 @@ def cmd_factor(args) -> int:
 def cmd_simulate(args) -> int:
     if args.mode == "exact":
         check_exact_order_bits(args.l)
-    rng = random.Random(_resolve_seed(args.seed))
+    # N has at most l * n * e_max bits; printing it must not pass the
+    # int/str digit limit (0: none; absent before Python 3.10.7)
+    bits = args.l * max(args.n, 0) * max(args.emax, 0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and math.floor(bits * math.log10(2)) + 1 > limit:
+        raise _UsageError(
+            f"--l * --n * --emax = {bits} is too large: an N of that many "
+            f"bits could have more than {limit} decimal digits, the "
+            f"int/str conversion limit")
+    rng = random.Random(args.seed)
     instance = generate_instance(args.l, args.n, args.emax, rng)
     if args.mode == "exact":
         g = sample_unit(instance.modulus, rng, exclude_one=True)
@@ -213,7 +207,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = args.seed
     if seed is None:
         seed = random.randrange(2**63)
     report = run_shor_baseline_cell(args.l, args.trials, seed)

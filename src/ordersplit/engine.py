@@ -305,8 +305,6 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
         raise ValueError("N must be an odd composite >= 9; strip small "
                          "factors first")
     fs = FactorSet(N)
-    if r < 1:
-        raise ValueError("r must be >= 1")
     if k is not None and k < 1:
         raise ValueError("k must be >= 1 when fixed")
     m = N.bit_length()

@@ -71,27 +71,12 @@ class Instance:
         modulus = math.prod(p**e for p, e in zip(primes, exponents))
         return cls(primes, exponents, modulus)
 
-    def validate(self) -> None:
-        """Check the primality of every listed prime (``is_probable_prime``)."""
-        for p in self.primes:
-            if not is_probable_prime(p):
-                raise ValueError(f"{p} is not prime")
-
     def to_json_dict(self) -> dict:
         return {
             "primes": [str(p) for p in self.primes],
             "exponents": list(self.exponents),
             "N": str(self.modulus),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Instance":
-        inst = cls.from_parts([int(p) for p in data["primes"]],
-                              [int(e) for e in data["exponents"]])
-        if "N" in data and int(data["N"]) != inst.modulus:
-            raise ValueError("N field disagrees with the prime powers")
-        inst.validate()
-        return inst
 
 
 @dataclass(frozen=True)
@@ -283,7 +268,7 @@ def sample_unit(modulus: int, rng: random.Random, *,
             if exclude_one and x == 1:
                 continue
             return x
-        if on_factor is not None and 1 < g < modulus:
+        if on_factor is not None:  # 1 < g <= x < modulus
             on_factor(g)
 
 
@@ -385,15 +370,6 @@ def _reduce_component_order(g: int, p: int, e: int, smooth_bound: int) -> int:
     return rough * multiplicative_order(pow(g, rough, pe), pe, smooth.items())
 
 
-def _crt(residues, moduli) -> int:
-    """Combine residues over pairwise coprime moduli."""
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r_i, m_i in zip(residues[1:], moduli[1:]):
-        x += m * ((r_i - x) * pow(m, -1, m_i) % m_i)
-        m *= m_i
-    return x % m
-
-
 def simulate_order(instance: Instance, smooth_bound: int,
                    rng: random.Random) -> OrderResult:
     """Heuristic order finding without factoring the group order.
@@ -411,15 +387,12 @@ def simulate_order(instance: Instance, smooth_bound: int,
     """
     if not 2 <= smooth_bound <= MAX_SIEVE_BOUND:
         raise ValueError(f"smooth_bound must be in [2, {MAX_SIEVE_BOUND}]")
-    residues: list[int] = []
-    moduli: list[int] = []
-    order = 1
+    g, m, order = 0, 1, 1  # g is the unit modulo m, the product so far
     for p, e in zip(instance.primes, instance.exponents):
         pe = p**e
         g_i = sample_unit(pe, rng)
         r_i = _reduce_component_order(g_i, p, e, smooth_bound)
-        residues.append(g_i)
-        moduli.append(pe)
         order = math.lcm(order, r_i)
-    g = _crt(residues, moduli)
+        g += m * ((g_i - g) * pow(m, -1, pe) % pe)
+        m *= pe
     return OrderResult(element=g, order=order, exact=False)

@@ -131,24 +131,15 @@ class TestFactorCommand:
         else:
             assert code == EXIT_OK
 
-    def test_env_seed_determinism(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORDER_SPLIT_SEED", "42")
-        code_a, out_a, _ = run_cli(capsys, "factor", "--N", "143", "--r", "60")
-        code_b, out_b, _ = run_cli(capsys, "factor", "--N", "143", "--r", "60")
-        assert code_a == code_b == EXIT_OK
-        assert out_a == out_b
 
-    def test_flag_beats_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORDER_SPLIT_SEED", "not-an-integer")
-        code, out, _ = run_cli(capsys, "factor", "--N", "15", "--r", "4",
-                               "--seed", "1")
-        assert code == EXIT_OK
-
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORDER_SPLIT_SEED", "not-an-integer")
-        code, _, err = run_cli(capsys, "factor", "--N", "15", "--r", "4")
-        assert code == EXIT_USAGE
-        assert "ORDER_SPLIT_SEED" in err
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits, with the limit restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit before Python 3.10.7")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
 
 
 class TestSimulateCommand:
@@ -193,6 +184,33 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE
         assert "--Bs" in err and "Traceback" not in err
         assert out == ""
+
+    def test_n_within_the_int_str_digit_limit(self, capsys, monkeypatch,
+                                              digit_limit):
+        # an N of at most l * n * e_max bits has at most
+        # floor(bits * log10 2) + 1 digits: 636 for 2112 bits, 646 for 2144
+        digit_limit(640)
+        code, out, _ = run_cli(capsys, "simulate", "--l", "16", "--n", "2",
+                               "--emax", "66", "--mode", "heuristic",
+                               "--seed", "1")
+        assert code == EXIT_OK
+        assert int(json.loads(out)["instance"]["N"]).bit_length() <= 2112
+
+        def no_draw(*args):
+            raise AssertionError("an instance was drawn")
+        monkeypatch.setattr(cli, "generate_instance", no_draw)
+        code, out, err = run_cli(capsys, "simulate", "--l", "16", "--n", "2",
+                                 "--emax", "67", "--mode", "heuristic",
+                                 "--seed", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert all(flag in err for flag in ("--l", "--n", "--emax"))
+        digit_limit(sys.int_info.default_max_str_digits)
+        for mode in ("exact", "heuristic"):
+            code, out, err = run_cli(capsys, "simulate", "--l", "16", "--n",
+                                     "2", "--emax", "800", "--mode", mode,
+                                     "--seed", "1")
+            assert code == EXIT_USAGE and out == ""
+            assert "Traceback" not in err
 
 
 class TestExperimentCommand:

@@ -57,8 +57,10 @@ class TestExperimentConfig:
 
     def test_dict_round_trip(self):
         config = _config(k=3)
-        again = ExperimentConfig.from_dict(config.to_dict())
-        assert again == config
+        data = dataclasses.asdict(config)  # as JSON gives it: lists
+        for key in ("l_values", "n_values", "emax_values"):
+            data[key] = list(data[key])
+        assert ExperimentConfig.from_dict(data) == config
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError):

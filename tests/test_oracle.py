@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -14,7 +15,6 @@ from ordersplit.ntcore import (MAX_SIEVE_BOUND, _sieve, _strong_liar,
 from ordersplit.oracle import (
     InfeasibleParametersError,
     Instance,
-    _crt,
     _factor_completely,
     _passes_strong_tests,
     _reduce_component_order,
@@ -46,23 +46,10 @@ class TestInstance:
 
     def test_json_round_trip(self):
         inst = Instance.from_parts([11, 13], [2, 1])
-        text = json.dumps(inst.to_json_dict())
-        again = Instance.from_json_dict(json.loads(text))
-        assert again == inst
-        data = json.loads(text)
+        data = json.loads(json.dumps(inst.to_json_dict()))
         assert data["primes"] == ["11", "13"]
         assert data["exponents"] == [2, 1]
         assert data["N"] == str(11 * 11 * 13)
-
-    def test_json_rejects_inconsistent_modulus(self):
-        with pytest.raises(ValueError):
-            Instance.from_json_dict(json.loads(
-                '{"primes": ["11", "13"], "exponents": [1, 1], "N": "144"}'))
-
-    def test_json_rejects_composite_prime(self):
-        with pytest.raises(ValueError):
-            Instance.from_json_dict(json.loads(
-                '{"primes": ["9", "13"], "exponents": [1, 1], "N": "117"}'))
 
 
 class TestGenerateInstance:
@@ -85,7 +72,7 @@ class TestGenerateInstance:
             for p in inst.primes:
                 assert p.bit_length() == 16
             assert all(1 <= e <= 2 for e in inst.exponents)
-            inst.validate()
+            assert all(map(is_probable_prime, inst.primes))
 
     def test_infeasible_when_not_enough_primes(self):
         with pytest.raises(InfeasibleParametersError):
@@ -324,7 +311,8 @@ class TestMediumPrimeScreen:
                         and pow(a, c >> 1, n) == oracle._jacobi(a, c) % n)
 
             s = small * f
-            liar = _crt([1, root], [small * q, f])  # a^d = 1 (mod c)
+            m = small * q  # a^d = 1 (mod c): 1 mod m, root mod f
+            liar = 1 + m * ((root - 1) * pow(m, -1, f) % f)
             witness = next(a for a in range(2, c - 1)
                            if passes(a, small) and not passes(a, s))
             hidden_witness = next(a for a in range(2, c - 1)
@@ -636,17 +624,6 @@ def _reference_simulated_order(inst, element, smooth_bound):
     return order
 
 
-class TestCrt:
-    def test_reconstruction(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            m1, m2, m3 = 9, 25, 49
-            r = [rng.randrange(m) for m in (m1, m2, m3)]
-            x = _crt(r, [m1, m2, m3])
-            assert x % m1 == r[0] and x % m2 == r[1] and x % m3 == r[2]
-            assert 0 <= x < m1 * m2 * m3
-
-
 class TestSimulateOrder:
     def test_exact_on_15_with_small_bound(self):
         # both component groups have 2-smooth orders, so the heuristic is
@@ -664,6 +641,17 @@ class TestSimulateOrder:
             result = simulate_order(inst, 100, rng)
             assert math.gcd(result.element, inst.modulus) == 1
             assert pow(result.element, result.order, inst.modulus) == 1
+
+    def test_element_combines_the_component_draws(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            inst = generate_instance(8, 3, 3, rng)
+            clone = copy.deepcopy(rng)
+            result = simulate_order(inst, 100, rng)
+            assert 0 <= result.element < inst.modulus
+            for p, e in zip(inst.primes, inst.exponents):
+                assert result.element % p**e == sample_unit(p**e, clone)
+            assert clone.getstate() == rng.getstate()
 
     def test_order_is_multiple_of_exact_with_rough_quotient(self):
         rng = random.Random(11)
