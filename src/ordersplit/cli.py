@@ -181,14 +181,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    out_dir = Path(args.out)
     try:
         with open(args.config) as handle:
             data = json.load(handle)
         config = ExperimentConfig.from_dict(data)
+        out_dir.mkdir(parents=True, exist_ok=True)  # before any trial
     except (OSError, ValueError, TypeError) as exc:
         raise _UsageError(exc)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports, summary = run_grid(config)
     for report in reports:
         status = "ok" if cell_passes(report) else "OVER BOUND"
@@ -199,8 +199,11 @@ def cmd_experiment(args) -> int:
     for skip in summary["skipped"]:
         print(f"cell l={skip['l']} n={skip['n']} e_max={skip['e_max']}: "
               f"skipped ({skip['reason']})")
-    write_csv(reports, out_dir / "experiment_results.csv")
-    write_json(reports, out_dir / "experiment_results.json")
+    try:
+        write_csv(reports, out_dir / "experiment_results.csv")
+        write_json(reports, out_dir / "experiment_results.json")
+    except OSError as exc:
+        raise _UsageError(exc)
     print(f"wrote {out_dir / 'experiment_results.csv'} and "
           f"{out_dir / 'experiment_results.json'}")
     return EXIT_OK if summary["all_within_bound"] else EXIT_INCOMPLETE

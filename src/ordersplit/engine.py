@@ -319,24 +319,23 @@ def recover_factors(N: int, r: int, *, c: int = 1, k: int | None = None,
     while (g := math.gcd(o_1, N)) > 1:  # N's own primes: see above
         o_1 //= g
     o_2 = o // o_1
-    iterations = 0
-    gcd_calls = 0
-    while iterations < budget:
-        # the set is read only here; N itself waits for the first iteration
-        if (iterations or N not in fs) and fs.complete:
-            break
+
+    def composite_pieces(w: int) -> list[int]:
+        # an unsplit w is its own piece, with its verdict or, if it is N,
+        # still none: N waits untested until the first iteration
+        return [w] if w in fs else [v for v, prime in fs.entries
+                                    if not prime and w % v == 0]
+
+    iterations = gcd_calls = 0
+    while iterations < budget and (not iterations and N in fs
+                                   or not fs.complete):  # read only here
         iterations += 1
         x = sample_unit(N, rng, exclude_one=True, on_factor=fs.add_factor)
-        moduli = ((N,) if N in fs
-                  else [w for w, prime in fs.entries if not prime])
-        for w in moduli:
+        for w in composite_pieces(N):
             y = pow(x % w, o_1, w)
             steps, u = _walk_chain(y, t, w, fs)
             gcd_calls += steps
-            # w unsplit keeps its verdict, or still has none if it is N
-            pieces = ([w] if w in fs else [v for v, prime in fs.entries
-                                           if not prime and w % v == 0])
-            for v in pieces:
+            for v in composite_pieces(w):
                 if u % v != 1:  # else leg 2 repeats leg 1's gcds modulo v
                     gcd_calls += _walk_chain(pow(y % v, o_2, v), t, v, fs)[0]
     if fs.factorization.pairs == ((N, 1),):
@@ -417,8 +416,6 @@ def factor_with_order(N: int, r: int, *, c: int = 1, k: int | None = None,
         raise ValueError("c must be >= 1")
     if k is not None and k < 1:
         raise ValueError("k must be >= 1 when fixed")
-    if rng is None:
-        rng = random.Random()
     found, core = smooth_part(N, TRIAL_DIVISION_BOUND)
     result = RecoveryResult(False, Factorization(()), 0, 0, None)
     if core > 1:

@@ -273,11 +273,11 @@ def sample_unit(modulus: int, rng: random.Random, *,
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
-    """Nontrivial factor of odd composite n (Brent's cycle variant)."""
+    """Nontrivial factor of odd composite n (Brent's cycle variant); a
+    batch whose gcd catches every prime of n restarts from a fresh draw."""
     for _ in range(_RHO_ATTEMPTS):
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
-        m = 128
         g = r = q = 1
         while g == 1:
             x = y
@@ -285,19 +285,13 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
+                for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
-                k += m
+                k += 128
             r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if 1 < g < n:
+        if g < n:
             return g
     raise InfeasibleParametersError(f"failed to factor {n} within effort cap")
 

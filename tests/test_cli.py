@@ -308,6 +308,37 @@ class TestExperimentCommand:
         assert code == EXIT_USAGE
         assert "JSON object" in err
 
+    @staticmethod
+    def _one_cell_config(tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "l_values": [8], "n_values": [2], "emax_values": [1],
+            "trials_per_cell": 2, "seed": 1, "order_mode": "exact"}))
+        return config_path
+
+    def test_out_is_a_file(self, capsys, tmp_path, monkeypatch):
+        def no_trials(config):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(cli, "run_grid", no_trials)
+        not_a_dir = tmp_path / "reports"
+        not_a_dir.write_text("")
+        code, out, err = run_cli(capsys, "experiment", "--config",
+                                 str(self._one_cell_config(tmp_path)),
+                                 "--out", str(not_a_dir))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("ordersplit experiment: error: ")
+        assert err.count("\n") == 1
+
+    def test_report_path_not_writable(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        (out_dir / "experiment_results.csv").mkdir(parents=True)
+        code, _, err = run_cli(capsys, "experiment", "--config",
+                               str(self._one_cell_config(tmp_path)),
+                               "--out", str(out_dir))
+        assert code == EXIT_USAGE
+        assert err.startswith("ordersplit experiment: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestBaselineCommand:
     def test_baseline_reports_fraction(self, capsys):

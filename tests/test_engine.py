@@ -611,6 +611,29 @@ class TestRecoverFactors:
                            and bool(result.factorization.pairs))
         assert incomplete
 
+    def test_unsplit_modulus_is_its_own_piece_every_iteration(
+            self, monkeypatch):
+        # r = 1 grows to cover neither q - 1, so no draw splits N: N is its
+        # own piece in both legs of every iteration, and is tested once,
+        # by the stop test before the second iteration
+        q1, q2 = 1048703, 2097779  # q - 1 = 2 * (a prime above 2^19)
+        N = q1 * q2
+        chains = _count_chains(monkeypatch)
+        tested = []
+
+        def recording(n):
+            tested.append(n)
+            return is_probable_prime(n)
+        monkeypatch.setattr(engine, "is_probable_prime", recording)
+        for seed in range(5):
+            chains.clear()
+            tested.clear()
+            result = recover_factors(N, 1, k=3, rng=random.Random(seed))
+            assert tested == [N]
+            assert chains == [N] * 6
+            assert not result.complete and result.factorization.pairs == ()
+            assert result.iterations == 3
+
     def test_result_carries_the_grown_exponent(self):
         for n, r, c in ((143, 60, 1), (1001, 60, 2), (9, 6, 1)):
             result = recover_factors(n, r, c=c, rng=random.Random(9))

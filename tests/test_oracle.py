@@ -495,6 +495,17 @@ class TestFactorCompletely:
     def test_prime_power(self):
         assert _factor_completely(3**20) == {3: 20}
 
+    def test_batch_catching_every_prime_restarts(self):
+        # what trial division leaves of each p - 1 here is a composite on
+        # which some rho batch's gcd is all of it, so rho restarts
+        for p in (11307177563016758639, 13793712012294680519,
+                  12259417548506708927):
+            factors = _factor_completely(p - 1)
+            assert math.prod(q**e for q, e in factors.items()) == p - 1
+            assert all(map(is_probable_prime, factors))  # exact below 2^64
+        assert _factor_completely(11307177563016758639 - 1) == {
+            2: 1, 19: 1, 65809: 1, 1434149: 1, 3152761: 1}
+
     def test_one_sieve_per_bit_length(self):
         rng = random.Random(7)
         numbers = {rng.randrange(1 << 29, 1 << 30) for _ in range(10)}
