@@ -88,6 +88,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in _GRID_FIELDS:
+            if isinstance(getattr(self, key), list):
+                object.__setattr__(self, key, tuple(getattr(self, key)))
             values = getattr(self, key)
             if not isinstance(values, tuple) or not all(map(_is_int, values)):
                 raise ValueError(f"{key} must be a list of integers, "
@@ -129,10 +131,6 @@ class ExperimentConfig:
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
-        data = dict(data)
-        for key in _GRID_FIELDS:
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
         return cls(**data)
 
 

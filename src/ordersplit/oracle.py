@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -39,13 +39,15 @@ class InfeasibleParametersError(ValueError):
 
 @dataclass(frozen=True)
 class Instance:
-    """Composite modulus with its known prime-power factorization."""
+    """Composite modulus N, computed from its prime-power factorization."""
 
     primes: tuple[int, ...]
     exponents: tuple[int, ...]
-    modulus: int
+    modulus: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "primes", tuple(self.primes))
+        object.__setattr__(self, "exponents", tuple(self.exponents))
         if len(self.primes) != len(self.exponents):
             raise ValueError("primes and exponents must have equal length")
         if len(self.primes) < 2:
@@ -56,20 +58,12 @@ class Instance:
             raise ValueError("primes must be odd")
         if any(e < 1 for e in self.exponents):
             raise ValueError("exponents must be >= 1")
-        n = math.prod(p**e for p, e in zip(self.primes, self.exponents))
-        if n != self.modulus:
-            raise ValueError("modulus does not match the prime powers")
+        object.__setattr__(self, "modulus", math.prod(
+            p**e for p, e in zip(self.primes, self.exponents)))
 
     @property
     def bit_length(self) -> int:
         return self.modulus.bit_length()
-
-    @classmethod
-    def from_parts(cls, primes, exponents) -> "Instance":
-        primes = tuple(int(p) for p in primes)
-        exponents = tuple(int(e) for e in exponents)
-        modulus = math.prod(p**e for p, e in zip(primes, exponents))
-        return cls(primes, exponents, modulus)
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,7 +241,7 @@ def generate_instance(l: int, n: int, e_max: int,
         if _passes_strong_tests(candidate, rng):
             primes.append(candidate)
     exponents = [rng.randint(1, e_max) for _ in range(n)]
-    return Instance.from_parts(primes, exponents)
+    return Instance(primes, exponents)
 
 
 def sample_unit(modulus: int, rng: random.Random, *,
@@ -272,9 +266,11 @@ def sample_unit(modulus: int, rng: random.Random, *,
             on_factor(g)
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    """Nontrivial factor of odd composite n (Brent's cycle variant); a
-    batch whose gcd catches every prime of n restarts from a fresh draw."""
+def _pollard_rho(n: int) -> int:
+    """Nontrivial factor of odd composite n (Brent's cycle variant), drawn
+    from random.Random(n); a batch whose gcd catches every prime of n
+    restarts from a fresh draw."""
+    rng = random.Random(n)
     for _ in range(_RHO_ATTEMPTS):
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -299,24 +295,21 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
 def _factor_completely(n: int) -> dict[int, int]:
     """Full factorization {prime: exponent} by trial division then rho.
 
-    Deterministic: the rho stream is seeded from what trial division
-    leaves of n, and made only when a composite needs rho.
+    Deterministic: each rho call seeds its own stream from the composite
+    it splits.
     """
     # a power of two >= sqrt(n) keeps one sieve per bit length of n
     factors, n = smooth_part(n, min(_TRIAL_BOUND,
                                     1 << (n.bit_length() + 1) // 2))
     if n == 1:
         return factors
-    rng = None
     stack = [n]
     while stack:
         m = stack.pop()
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        if rng is None:
-            rng = random.Random(n)
-        d = _pollard_rho(m, rng)
+        d = _pollard_rho(m)
         stack.extend((d, m // d))
     return factors
 

@@ -300,6 +300,18 @@ class TestExperimentCommand:
         assert "c=100000000" in err and "Traceback" not in err
         assert out == ""
 
+    def test_infeasible_cell_is_skipped(self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "l_values": [3], "n_values": [5], "emax_values": [1],
+            "trials_per_cell": 1}))
+        code, out, _ = run_cli(capsys, "experiment", "--config",
+                               str(config_path), "--out",
+                               str(tmp_path / "out"))
+        assert code == EXIT_OK
+        assert ("cell l=3 n=5 e_max=1: skipped (only 2 odd 3-bit primes "
+                "exist, need 5)") in out
+
     def test_config_not_an_object(self, capsys, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps([1, 2]))
@@ -349,6 +361,16 @@ class TestBaselineCommand:
         assert data["trials"] == 100
         assert 0.0 <= data["split_fraction"] <= 1.0
         assert data["split_fraction"] >= 0.5
+
+    def test_unseeded_run_prints_its_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "baseline", "--l", "8", "--trials", "3")
+        assert code == EXIT_OK
+        first = json.loads(out)
+        assert isinstance(first["seed"], int)
+        code, out, _ = run_cli(capsys, "baseline", "--l", "8", "--trials",
+                               "3", "--seed", str(first["seed"]))
+        assert code == EXIT_OK
+        assert json.loads(out) == first
 
     def test_zero_trials(self, capsys):
         code, _, _ = run_cli(capsys, "baseline", "--l", "10", "--trials", "0")

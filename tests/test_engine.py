@@ -171,6 +171,10 @@ class TestFactorSet:
         assert not fs.add_factor(21)  # 3 * 7: a product of entries
         assert fs.entries == ((3, True), (5, True), (7, True))
 
+    def test_target_below_two_rejected(self):
+        with pytest.raises(ValueError, match="target must be >= 2"):
+            FactorSet(1)
+
     def test_rejects_non_divisors(self):
         fs = FactorSet(15)
         assert not fs.add_factor(7)
@@ -340,7 +344,7 @@ def _reference_cases():
     for exponents in ((2, 2), (3, 3), (2, 2, 1), (2, 2, 2), (1, 3, 3)):
         for _ in range(8):
             primes = generate_instance(10, len(exponents), 1, master).primes
-            cases.append(Instance.from_parts(primes, exponents))
+            cases.append(Instance(primes, exponents))
     for inst in cases:
         g = sample_unit(inst.modulus, master, exclude_one=True)
         r = exact_order(inst, g).order
@@ -369,7 +373,7 @@ def _adversarial_cases(q, ps, count, master):
     almost always, so leg 1 drops it, yet it can be part of x's order
     modulo each p_i."""
     for _ in range(count):
-        inst = Instance.from_parts((q, *ps), (master.choice((1, 2)), 1, 1))
+        inst = Instance((q, *ps), (master.choice((1, 2)), 1, 1))
         g = sample_unit(inst.modulus, master, exclude_one=True)
         yield (inst.modulus, exact_order(inst, g).order,
                master.choice((None, 1)), master.randrange(2**32))
@@ -576,7 +580,7 @@ class TestRecoverFactors:
         runs = 0
         while runs < 10:
             p, q = generate_instance(16, 2, 1, master).primes
-            inst = Instance.from_parts((p, q), (2, 1))
+            inst = Instance((p, q), (2, 1))
             g = sample_unit(inst.modulus, master, exclude_one=True)
             r = exact_order(inst, g).order
             if r % p:
@@ -597,7 +601,7 @@ class TestRecoverFactors:
         p = 420421  # 2^2 * 3 * 5 * 7^2 * 11 * 13 + 1
         q1, q2 = 1048703, 2097779  # q - 1 = 2 * (a prime above 2^19)
         assert all(map(is_probable_prime, (p, q1, q2, q1 // 2, q2 // 2)))
-        inst = Instance.from_parts((p, q1, q2), (2, 1, 2))
+        inst = Instance((p, q1, q2), (2, 1, 2))
         m = inst.modulus.bit_length()
         assert guess_multiple(1, m).r_prime % (p - 1) == 0
         truth = set(zip(inst.primes, inst.exponents))

@@ -44,6 +44,8 @@ class TestExperimentConfig:
             _config(k=0)
         with pytest.raises(ValueError):
             _config(B_s=1)
+        with pytest.raises(ValueError, match="c must be >= 1"):
+            _config(c=0)
 
     def test_smoothness_bound_limit_names_c(self):
         # the longest N has 10 * 2 * 1 = 20 bits, so c may reach 5 * 10^6
@@ -61,6 +63,11 @@ class TestExperimentConfig:
         for key in ("l_values", "n_values", "emax_values"):
             data[key] = list(data[key])
         assert ExperimentConfig.from_dict(data) == config
+
+    def test_list_grids_become_tuples(self):
+        config = ExperimentConfig(l_values=[8], n_values=[2],
+                                  emax_values=[1])
+        assert config == ExperimentConfig((8,), (2,), (1,))  # [8] != (8,)
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError):

@@ -644,6 +644,10 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(2, 15, [(2, 2)]) == 4
         assert multiplicative_order(2, 7, [(2, 1), (3, 1)]) == 3
 
+    def test_modulus_below_two_rejected(self):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            multiplicative_order(1, 1, [])
+
     def test_matches_brute_force(self):
         rng = random.Random(12)
         from conftest import trial_division_factorization

@@ -28,24 +28,27 @@ from ordersplit.oracle import (
 
 class TestInstance:
     def test_from_parts(self):
-        inst = Instance.from_parts([3, 5], [1, 2])
+        inst = Instance([3, 5], [1, 2])
+        assert (inst.primes, inst.exponents) == ((3, 5), (1, 2))
         assert inst.modulus == 75
         assert inst.bit_length == 7
 
     def test_invariant_violations(self):
         with pytest.raises(ValueError):
-            Instance.from_parts([3], [1])  # single prime
+            Instance([3], [1])  # single prime
         with pytest.raises(ValueError):
-            Instance.from_parts([3, 3], [1, 1])  # repeated prime
+            Instance([3, 3], [1, 1])  # repeated prime
         with pytest.raises(ValueError):
-            Instance.from_parts([2, 5], [1, 1])  # even prime
+            Instance([2, 5], [1, 1])  # even prime
         with pytest.raises(ValueError):
-            Instance.from_parts([3, 5], [0, 1])  # zero exponent
+            Instance([3, 5], [0, 1])  # zero exponent
         with pytest.raises(ValueError):
-            Instance((3, 5), (1, 1), 16)  # wrong modulus
+            Instance((3, 5, 7), (1, 1))  # unequal lengths
+        with pytest.raises(TypeError):
+            Instance((3, 5), (1, 1), 15)  # the modulus is computed
 
     def test_json_round_trip(self):
-        inst = Instance.from_parts([11, 13], [2, 1])
+        inst = Instance([11, 13], [2, 1])
         data = json.loads(json.dumps(inst.to_json_dict()))
         assert data["primes"] == ["11", "13"]
         assert data["exponents"] == [2, 1]
@@ -153,7 +156,7 @@ def _generate_by_full_tests(l, n, e_max, rng):
                for _ in range(64)):
             primes.append(candidate)
     exponents = [rng.randint(1, e_max) for _ in range(n)]
-    return Instance.from_parts(primes, exponents)
+    return Instance(primes, exponents)
 
 
 class _ScriptedRng:
@@ -491,6 +494,10 @@ class TestFactorCompletely:
     def test_large_semiprime(self):
         p, q = 1_000_003, 1_000_033
         assert _factor_completely(p * q) == {p: 1, q: 1}
+        # rho splits a remainder of three primes twice
+        r = 1_000_037
+        assert _factor_completely(6 * p * q * r) == {2: 1, 3: 1, p: 1, q: 1,
+                                                     r: 1}
 
     def test_prime_power(self):
         assert _factor_completely(3**20) == {3: 20}
@@ -506,6 +513,11 @@ class TestFactorCompletely:
         assert _factor_completely(11307177563016758639 - 1) == {
             2: 1, 19: 1, 65809: 1, 1434149: 1, 3152761: 1}
 
+    def test_rho_effort_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_RHO_ATTEMPTS", 0)
+        with pytest.raises(InfeasibleParametersError, match="effort cap"):
+            _factor_completely(1_000_003 * 1_000_033)
+
     def test_one_sieve_per_bit_length(self):
         rng = random.Random(7)
         numbers = {rng.randrange(1 << 29, 1 << 30) for _ in range(10)}
@@ -518,10 +530,10 @@ class TestFactorCompletely:
 
 class TestExactOrder:
     def test_known_orders(self):
-        inst15 = Instance.from_parts([3, 5], [1, 1])
+        inst15 = Instance([3, 5], [1, 1])
         assert exact_order(inst15, 2).order == 4
         assert exact_order(inst15, 14).order == 2
-        inst21 = Instance.from_parts([3, 7], [1, 1])
+        inst21 = Instance([3, 7], [1, 1])
         assert exact_order(inst21, 2).order == 6
 
     def test_matches_brute_force(self):
@@ -544,18 +556,18 @@ class TestExactOrder:
                 assert pow(g, r // f, inst.modulus) != 1
 
     def test_not_a_unit(self):
-        inst = Instance.from_parts([3, 5], [1, 1])
+        inst = Instance([3, 5], [1, 1])
         with pytest.raises(ValueError):
             exact_order(inst, 5)
 
     def test_refuses_primes_over_64_bits(self, monkeypatch):
         p64 = 2**64 - 59  # the largest 64-bit prime: still exact
-        inst = Instance.from_parts([3, p64], [1, 1])
+        inst = Instance([3, p64], [1, 1])
         r = exact_order(inst, 2).order
         assert pow(2, r, inst.modulus) == 1
         monkeypatch.setattr(oracle, "_factor_completely", None)
         with pytest.raises(InfeasibleParametersError):
-            exact_order(Instance.from_parts([3, 2**89 - 1], [1, 1]), 2)
+            exact_order(Instance([3, 2**89 - 1], [1, 1]), 2)
 
 
 def _reduce_by_per_prime_loop(g, prime_power, phi, smooth_bound):
@@ -639,7 +651,7 @@ class TestSimulateOrder:
     def test_exact_on_15_with_small_bound(self):
         # both component groups have 2-smooth orders, so the heuristic is
         # always exact here
-        inst = Instance.from_parts([3, 5], [1, 1])
+        inst = Instance([3, 5], [1, 1])
         for seed in range(30):
             result = simulate_order(inst, 10, random.Random(seed))
             assert not result.exact
@@ -722,6 +734,6 @@ class TestSimulateOrder:
                         inst, sim.element, 10**6)
 
     def test_bound_validation(self):
-        inst = Instance.from_parts([3, 5], [1, 1])
+        inst = Instance([3, 5], [1, 1])
         with pytest.raises(ValueError):
             simulate_order(inst, 1, random.Random(0))
