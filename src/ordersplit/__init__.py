@@ -25,7 +25,7 @@ from ordersplit.harness import (
     cell_passes,
     run_cell,
     run_grid,
-    run_shor_baseline_cell,
+    shor_baseline_splits,
     write_csv,
     write_json,
 )
@@ -71,8 +71,8 @@ __all__ = [
     "recover_factors",
     "run_cell",
     "run_grid",
-    "run_shor_baseline_cell",
     "sample_unit",
+    "shor_baseline_splits",
     "shor_split",
     "simulate_order",
     "smooth_part",

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ordersplit.engine import (
+    RecoveryResult,
     default_iteration_cap,
     recover_factors,
     shor_split,
@@ -32,6 +33,7 @@ from ordersplit.ntcore import MAX_SIEVE_BOUND
 from ordersplit.oracle import (
     InfeasibleParametersError,
     Instance,
+    OrderResult,
     check_exact_order_bits,
     exact_order,
     generate_instance,
@@ -42,8 +44,9 @@ from ordersplit.oracle import (
 __all__ = [
     "ExperimentConfig",
     "CellReport",
+    "Trial",
     "run_cell",
-    "run_shor_baseline_cell",
+    "shor_baseline_splits",
     "run_grid",
     "cell_passes",
     "write_csv",
@@ -168,79 +171,83 @@ def _trial_rng(seed: int, cell, trial: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _count_missed_primes(instance: Instance, r_prime: int) -> int:
-    """How many instance primes p have p - 1 not dividing r'."""
-    return sum(1 for p in instance.primes if r_prime % (p - 1) != 0)
+@dataclass(frozen=True, slots=True)
+class Trial:
+    """One seeded trial of a cell, its ground-truth verdict, and how many
+    instance primes p have p - 1 not dividing the grown exponent r'."""
+
+    cell: tuple[int, int, int]
+    trial: int
+    instance: Instance
+    order: OrderResult
+    result: RecoveryResult
+    verified: bool
+    missed_primes: int
 
 
-def _verified(instance: Instance, factorization) -> bool:
-    """Ground-truth check: pairs match the instance and multiply to N."""
+def _run_trial(cell: tuple[int, int, int], config: ExperimentConfig,
+               trial: int) -> Trial:
+    """Trial number ``trial`` of cell (l, n, e_max), from its own stream.
+
+    A claimed factorization is verified against the instance: the engine's
+    own completeness flag is never trusted alone.
+    """
+    rng = _trial_rng(config.seed, cell, trial)
+    instance = generate_instance(*cell, rng)
+    if config.order_mode == "exact":
+        g = sample_unit(instance.modulus, rng, exclude_one=True)
+        order = exact_order(instance, g)
+    else:
+        order = simulate_order(instance, config.B_s, rng)
+    result = recover_factors(instance.modulus, order.order,
+                             c=config.c, k=config.k, rng=rng)
     expected = tuple(sorted(zip(instance.primes, instance.exponents)))
-    return (factorization.pairs == expected
-            and factorization.product() == instance.modulus)
+    verified = (result.complete and result.factorization.pairs == expected
+                and result.factorization.product() == instance.modulus)
+    missed = sum(result.guess.r_prime % (p - 1) != 0 for p in instance.primes)
+    return Trial(cell, trial, instance, order, result, verified, missed)
 
 
 def run_cell(l: int, n: int, e_max: int, config: ExperimentConfig,
-             on_failure: Callable[[dict], object] | None = None) -> CellReport:
+             on_failure: Callable[[Trial], object] | None = None
+             ) -> CellReport:
     """Run trials_per_cell seeded trials for one (l, n, e_max) cell.
 
     Each trial generates an instance, obtains an order for a random unit
-    (exactly, or heuristically with bound B_s), runs the recovery engine,
-    and verifies any claimed factorization against the instance ground
-    truth; the engine's own completeness flag is never trusted alone.
+    (exactly, or heuristically with bound B_s), runs the recovery engine
+    and verifies the outcome (``_run_trial``), then adds it to the sums.
     Failed trials are logged together with the number of instance primes
-    whose p - 1 the grown exponent missed, and reported to ``on_failure``
-    when given.
+    whose p - 1 the grown exponent missed, and passed to ``on_failure``
+    when given; ``_run_trial(t.cell, config, t.trial)`` replays one.
     """
     start = time.perf_counter()
-    successes = 0
-    sum_iterations = 0
-    sum_gcd_calls = 0
-    bit_lengths = []
-    unlucky_events = 0
     if config.order_mode == "exact":
         check_exact_order_bits(l)
+    successes = unlucky_events = sum_iterations = sum_gcd_calls = 0
+    sum_bits, min_bits = 0, math.inf
+    # under a fixed k a failure is the quantity being measured; under
+    # run-to-complete it is an anomaly worth surfacing
+    level = logging.DEBUG if config.k is not None else logging.WARNING
     for trial in range(config.trials_per_cell):
-        rng = _trial_rng(config.seed, (l, n, e_max), trial)
-        instance = generate_instance(l, n, e_max, rng)
-        if config.order_mode == "exact":
-            g = sample_unit(instance.modulus, rng, exclude_one=True)
-            order_result = exact_order(instance, g)
-        else:
-            order_result = simulate_order(instance, config.B_s, rng)
-        result = recover_factors(instance.modulus, order_result.order,
-                                 c=config.c, k=config.k, rng=rng)
-        ok = result.complete and _verified(instance, result.factorization)
-        missed = _count_missed_primes(instance, result.guess.r_prime)
-        if missed >= 2:
-            unlucky_events += 1
-        if ok:
-            successes += 1
-        else:
-            detail = {
-                "l": l, "n": n, "e_max": e_max, "trial": trial,
-                "instance": instance, "order": order_result,
-                "missed_primes": missed, "iterations": result.iterations,
-            }
-            # under a fixed k a failure is the quantity being measured;
-            # under run-to-complete it is an anomaly worth surfacing
-            level = logging.DEBUG if config.k is not None else logging.WARNING
+        t = _run_trial((l, n, e_max), config, trial)
+        successes += t.verified
+        unlucky_events += t.missed_primes >= 2
+        sum_iterations += t.result.iterations
+        sum_gcd_calls += t.result.gcd_calls
+        sum_bits += t.instance.bit_length
+        min_bits = min(min_bits, t.instance.bit_length)
+        if not t.verified:
             logger.log(
                 level,
                 "trial %d failed for N=%d (primes with p-1 not dividing "
-                "r': %d, iterations: %d)", trial, instance.modulus, missed,
-                result.iterations)
+                "r': %d, iterations: %d)", trial, t.instance.modulus,
+                t.missed_primes, t.result.iterations)
             if on_failure is not None:
-                on_failure(detail)
-        sum_iterations += result.iterations
-        sum_gcd_calls += result.gcd_calls
-        bit_lengths.append(instance.bit_length)
+                on_failure(t)
     trials = config.trials_per_cell
-    mean_bits = sum(bit_lengths) / trials
     # in auto mode, the smallest cap any trial of the cell ran under
-    bound_k = config.k if config.k is not None else default_iteration_cap(
-        min(bit_lengths))
-    bound = theoretical_failure_bound(n, mean_bits, config.c, bound_k)
+    bound_k = config.k or default_iteration_cap(min_bits)
+    bound = theoretical_failure_bound(n, sum_bits / trials, config.c, bound_k)
     return CellReport(
         l=l, n=n, e_max=e_max, c=config.c, k_policy=config.k_policy,
         B_s=config.B_s, trials=trials, complete_successes=successes,
@@ -253,39 +260,24 @@ def run_cell(l: int, n: int, e_max: int, config: ExperimentConfig,
     )
 
 
-def run_shor_baseline_cell(l: int, trials: int, seed: int) -> CellReport:
+def shor_baseline_splits(l: int, trials: int, seed: int) -> int:
     """Classic even-order split on random squarefree semiprimes.
 
     Per trial: draw two distinct l-bit primes, a uniform unit g, compute
-    the exact order and attempt gcd(g^(r/2) +- 1, N). ``complete_successes``
-    counts nontrivial splits; the bound column carries 1/4, the semiprime
-    failure ceiling.
+    the exact order and attempt gcd(g^(r/2) +- 1, N). Returns how many of
+    the trials split N nontrivially.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_exact_order_bits(l)
-    start = time.perf_counter()
-    successes = 0
-    gcd_calls = 0
+    splits = 0
     for trial in range(trials):
         rng = _trial_rng(seed, ("shor-baseline", l), trial)
         instance = generate_instance(l, 2, 1, rng)
         g = sample_unit(instance.modulus, rng)
         order = exact_order(instance, g).order
-        outcome = shor_split(instance.modulus, g, order)
-        if outcome.factors is not None:
-            gcd_calls += 2
-            successes += 1  # shor_split's two gcds are proper divisors of N
-    return CellReport(
-        l=l, n=2, e_max=1, c=1, k_policy="1", B_s=0, trials=trials,
-        complete_successes=successes,
-        mean_iterations=1.0,
-        mean_gcd_calls=gcd_calls / trials,
-        empirical_failure_rate=1.0 - successes / trials,
-        theoretical_bound=0.25,
-        unlucky_events_observed=0,
-        wall_time_seconds=time.perf_counter() - start,
-    )
+        splits += shor_split(instance.modulus, g, order).factors is not None
+    return splits
 
 
 def cell_passes(report: CellReport) -> bool:
@@ -295,11 +287,11 @@ def cell_passes(report: CellReport) -> bool:
     return report.empirical_failure_rate <= report.theoretical_bound + slack
 
 
-def run_grid(config: ExperimentConfig) -> tuple[list[CellReport], dict]:
+def run_grid(config: ExperimentConfig) -> tuple[list[CellReport], list[dict]]:
     """Run every (l, n, e_max) combination; infeasible cells are skipped.
 
-    Returns the cell reports in grid order plus a summary with per-cell
-    bound outcomes and any skip diagnostics.
+    Returns the cell reports in grid order and, for each skipped cell, its
+    (l, n, e_max) and the reason.
     """
     reports: list[CellReport] = []
     skipped: list[dict] = []
@@ -307,20 +299,13 @@ def run_grid(config: ExperimentConfig) -> tuple[list[CellReport], dict]:
         for n in config.n_values:
             for e_max in config.emax_values:
                 try:
-                    report = run_cell(l, n, e_max, config)
+                    reports.append(run_cell(l, n, e_max, config))
                 except InfeasibleParametersError as exc:
                     logger.warning("skipping cell (l=%d, n=%d, e_max=%d): %s",
                                    l, n, e_max, exc)
                     skipped.append(
                         {"l": l, "n": n, "e_max": e_max, "reason": str(exc)})
-                    continue
-                reports.append(report)
-    summary = {
-        "cells": len(reports),
-        "skipped": skipped,
-        "all_within_bound": all(cell_passes(r) for r in reports),
-    }
-    return reports, summary
+    return reports, skipped
 
 
 def write_csv(reports: Sequence[CellReport], path) -> None:

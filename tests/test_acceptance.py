@@ -22,7 +22,7 @@ from ordersplit.engine import (
 from ordersplit.harness import (
     ExperimentConfig,
     run_cell,
-    run_shor_baseline_cell,
+    shor_baseline_splits,
 )
 from ordersplit.ntcore import eta, multiplicative_order, primes_up_to
 from ordersplit.oracle import (
@@ -59,12 +59,12 @@ def test_criterion_1_complete_factorization_rate():
                               on_failure=failures.append)
             total += report.trials
             successes += report.complete_successes
-    for detail in failures:
+    for trial in failures:
         # the only sanctioned failure mode: two or more primes whose p-1
         # the grown exponent does not cover
-        print(f"  failure trace: N={detail['instance'].modulus} "
-              f"missed_primes={detail['missed_primes']}")
-        assert detail["missed_primes"] >= 2, detail
+        print(f"  failure trace: N={trial.instance.modulus} "
+              f"missed_primes={trial.missed_primes}")
+        assert trial.missed_primes >= 2, trial
     elapsed = time.perf_counter() - start
     ok = successes == total and total >= 1000
     _announce(1, ok, elapsed,
@@ -97,8 +97,7 @@ def test_criterion_3_shor_baseline():
     nontrivial split fraction >= 1/2 - 3 sigma, and >= 3/4 - 3 sigma."""
     start = time.perf_counter()
     trials = 10_000
-    report = run_shor_baseline_cell(16, trials, seed=SEED + 2)
-    fraction = report.complete_successes / trials
+    fraction = shor_baseline_splits(16, trials, seed=SEED + 2) / trials
     sigma_half = math.sqrt(0.5 * 0.5 / trials)
     sigma_three_quarters = math.sqrt(0.75 * 0.25 / trials)
     elapsed = time.perf_counter() - start

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ordersplit import harness
+from ordersplit import cli, harness
 from ordersplit.harness import (
     CSV_COLUMNS,
     CellReport,
@@ -13,7 +13,7 @@ from ordersplit.harness import (
     cell_passes,
     run_cell,
     run_grid,
-    run_shor_baseline_cell,
+    shor_baseline_splits,
     write_csv,
     write_json,
 )
@@ -116,7 +116,7 @@ class TestRunCell:
         with pytest.raises(InfeasibleParametersError, match="64 bits"):
             run_cell(128, 2, 1, _config())
         with pytest.raises(InfeasibleParametersError, match="64 bits"):
-            run_shor_baseline_cell(1024, 1, 1)
+            shor_baseline_splits(1024, 1, 1)
 
     def test_infeasible_cell_raises(self):
         with pytest.raises(InfeasibleParametersError):
@@ -127,9 +127,40 @@ class TestRunCell:
         config = _config(trials_per_cell=60, k=1)
         report = run_cell(10, 2, 1, config, on_failure=failures.append)
         assert len(failures) == report.trials - report.complete_successes
-        for detail in failures:
-            assert detail["missed_primes"] >= 0
-            assert detail["instance"].modulus % 2 == 1
+        for trial in failures:
+            assert trial.missed_primes >= 0
+            assert trial.instance.modulus % 2 == 1
+
+    def test_failed_trials_replay_in_isolation(self):
+        failures = []
+        config = _config(trials_per_cell=60, k=1)
+        run_cell(10, 2, 1, config, on_failure=failures.append)
+        assert failures
+        for trial in failures:
+            assert not trial.verified
+            assert harness._run_trial(trial.cell, config, trial.trial) \
+                == trial
+
+    # values from the run_cell that kept a list of bit lengths and a
+    # failure dict: folding each Trial as it ends must not move a number
+    @pytest.mark.parametrize("cell, overrides, expected", [
+        ((10, 2, 1), dict(trials_per_cell=60, k=1), dict(
+            k_policy="1", B_s=10000, trials=60, complete_successes=46,
+            mean_iterations=1.0, mean_gcd_calls=3.6666666666666665,
+            empirical_failure_rate=0.23333333333333328,
+            theoretical_bound=0.5271481819351995,
+            unlucky_events_observed=0)),
+        ((16, 3, 2), dict(order_mode="simulate", k=2, trials_per_cell=40),
+         dict(k_policy="2", B_s=10000, trials=40, complete_successes=39,
+              mean_iterations=1.275, mean_gcd_calls=4.925,
+              empirical_failure_rate=0.025000000000000022,
+              theoretical_bound=0.7632713165101886,
+              unlucky_events_observed=0)),
+    ])
+    def test_fixed_k_report_pinned(self, cell, overrides, expected):
+        report = _strip_timing(run_cell(*cell, _config(**overrides)))
+        l, n, e_max = cell
+        assert report == dict(l=l, n=n, e_max=e_max, c=1, **expected)
 
     def test_fixed_k_failure_rate_within_bound(self):
         config = _config(trials_per_cell=400, k=1)
@@ -139,52 +170,56 @@ class TestRunCell:
 
 class TestShorBaseline:
     def test_split_fraction_large(self):
-        report = run_shor_baseline_cell(10, 400, seed=7)
-        fraction = report.complete_successes / report.trials
-        sigma = math.sqrt(0.75 * 0.25 / report.trials)
+        trials = 400
+        fraction = shor_baseline_splits(10, trials, seed=7) / trials
+        sigma = math.sqrt(0.75 * 0.25 / trials)
         assert fraction >= 0.75 - 3 * sigma
-        assert report.theoretical_bound == 0.25
 
     def test_deterministic(self):
-        a = run_shor_baseline_cell(10, 50, seed=3)
-        b = run_shor_baseline_cell(10, 50, seed=3)
-        assert _strip_timing(a) == _strip_timing(b)
+        assert shor_baseline_splits(10, 50, seed=3) == 42
+        assert shor_baseline_splits(10, 50, seed=3) == 42
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            run_shor_baseline_cell(10, 0, seed=1)
+            shor_baseline_splits(10, 0, seed=1)
+
+    def test_matches_cli_splits(self, capsys):
+        assert cli.main(["baseline", "--l", "12", "--trials", "50",
+                         "--seed", "9"]) == cli.EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["splits"] == shor_baseline_splits(12, 50, 9) == 43
 
 
 class TestRunGrid:
     def test_empty_grid(self):
-        reports, summary = run_grid(_config(l_values=()))
+        reports, skipped = run_grid(_config(l_values=()))
         assert reports == []
-        assert summary["cells"] == 0
-        assert summary["all_within_bound"] is True
+        assert all(map(cell_passes, reports)) is True
+        assert skipped == []
 
     def test_single_cell_matches_run_cell(self):
         config = _config(trials_per_cell=15)
-        reports, summary = run_grid(config)
+        reports, _ = run_grid(config)
         direct = run_cell(10, 2, 1, config)
         assert len(reports) == 1
         assert _strip_timing(reports[0]) == _strip_timing(direct)
-        assert summary["all_within_bound"]
+        assert all(map(cell_passes, reports))
 
     def test_desk_grid_all_cells_succeed(self):
         config = _config(l_values=(8, 16, 24), n_values=(2, 3, 5),
                          emax_values=(1, 2), trials_per_cell=200)
-        reports, summary = run_grid(config)
+        reports, _ = run_grid(config)
         assert len(reports) == 18
         for report in reports:
             assert report.complete_successes == report.trials, report
-        assert summary["all_within_bound"]
+        assert all(map(cell_passes, reports))
 
     def test_infeasible_cells_skipped(self):
         config = _config(l_values=(3,), n_values=(2, 5), trials_per_cell=5)
-        reports, summary = run_grid(config)
+        reports, skipped = run_grid(config)
         assert len(reports) == 1  # l=3, n=2 feasible; n=5 is not
-        assert len(summary["skipped"]) == 1
-        assert summary["skipped"][0]["n"] == 5
+        assert len(skipped) == 1
+        assert skipped[0]["n"] == 5
 
 
 class TestReportEmission:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -82,6 +83,22 @@ class TestGenerateInstance:
             generate_instance(3, 3, 1, random.Random(0))  # only 5 and 7 exist
         with pytest.raises(InfeasibleParametersError):
             generate_instance(4, 3, 1, random.Random(0))  # only 11 and 13
+
+    def test_infeasible_past_twenty_bits(self):
+        # one prime more than there are 21-bit primes: refused before any
+        # draw, where rejection sampling would never end
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(InfeasibleParametersError, match=(
+                r"only 73586 odd 21-bit primes exist, need 73587")):
+            generate_instance(21, 73_587, 1, rng)
+        assert rng.getstate() == state
+
+    def test_odd_prime_count_matches_sieve(self):
+        lengths = Counter(p.bit_length() for p in primes_up_to(2**21)[1:])
+        for bits in range(3, 22):
+            assert oracle._odd_prime_count(bits) == lengths[bits], bits
+        assert oracle._odd_prime_count(21) == 73_586
 
     def test_parameter_validation(self):
         with pytest.raises(InfeasibleParametersError):
